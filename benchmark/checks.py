@@ -120,36 +120,50 @@ class GraphOracle:
         return out
 
 
+def _oracle_order(model: dict, candidates: list[str], X) -> tuple[list[int], list[float]]:
+    """Candidate indices by descending score, ties by ascending id, and the
+    scores. Ranking uses scores rounded to 9 decimals, so that mathematically
+    tied scores tie whatever order their sums were taken in."""
+    mins, maxs = model["normalization"]["mins"], model["normalization"]["maxs"]
+    scores = []
+    for row in X:
+        s = 0.0
+        for j, w in enumerate(model["weights"]):
+            span = maxs[j] - mins[j]
+            v = (row[j] - mins[j]) / span if span > 0 else 0.0
+            s += w * min(max(v, 0.0), 1.0)
+        scores.append(s)
+    return oracles.oracle_rank_order(candidates, [round(s, 9) for s in scores]), scores
+
+
 # -- cv-ranking ---------------------------------------------------------------
 
-def model_metric_mismatches(run: Path) -> list[str]:
-    """Saved models whose metric.value differs from the brute-force mean
-    nDCG@3 of their weights on their own training queries (global: all
-    queries; a community model: its community's queries).
-
-    Not a gate: training scores candidates incrementally, so mathematically
-    tied scores break by rounding there, and on some seeds the stored value
-    disagrees with the model as applied (see CHANGES.md).
-    """
+def check_model_metrics(run: Path) -> list[str]:
+    """Each saved model's metric.value must equal the brute-force mean nDCG@3
+    of its weights on its own training queries (global: all queries; a
+    community model: its community's queries)."""
     rf = _json(run / "rankfeat.json")
     assignment, _ = read_communities(run / "communities.tsv")
     index = _json(run / "rankerset.json")
-    out = []
+    fails = []
     for community, fname in {"global": index["global"], **index["communities"]}.items():
         m = _json(run / fname)
-        own = [q for q in rf["queries"]
-               if community == "global" or assignment[q["reader_id"]] == int(community)]
-        expect = oracles.oracle_mean_ndcg3(
-            [(q["candidates"], q["gains"], q["X"]) for q in own], m["weights"],
-            m["normalization"]["mins"], m["normalization"]["maxs"])
+        values = []
+        for q in rf["queries"]:
+            if community == "global" or assignment[q["reader_id"]] == int(community):
+                order, _ = _oracle_order(m, q["candidates"], q["X"])
+                nd = oracles.oracle_ndcg([q["gains"][i] for i in order], 3)
+                if nd is not None:  # a query without a positive gain is not trained on
+                    values.append(nd)
+        expect = math.fsum(values) / len(values)
         if abs(expect - m["metric"]["value"]) > METRIC_TOL:
-            out.append(f"{fname}: metric.value {m['metric']['value']} != brute-force "
-                       f"mean nDCG@3 {expect} over {len(own)} training queries")
-    return out
+            fails.append(f"{fname}: metric.value {m['metric']['value']} != brute-force "
+                         f"mean nDCG@3 {expect} over {len(values)} training queries")
+    return fails
 
 
 def check_cv_ranking(run: Path, reports: list[bytes]) -> list[str]:
-    fails: list[str] = []
+    fails = check_model_metrics(run)
     n_queries = len(_json(run / "rankfeat.json")["queries"])
     report = _json(run / "report.json")
     counts = report["counts"]
@@ -249,17 +263,8 @@ def parse_recommend(stdout: str) -> tuple[list[tuple[str, float]], str]:
 
 
 def _oracle_ranking(model: dict, features: list[tuple[str, list[float]]]):
-    mins, maxs = model["normalization"]["mins"], model["normalization"]["maxs"]
     cands = [oer for oer, _ in features]
-    scores = []
-    for _, row in features:
-        s = 0.0
-        for j, w in enumerate(model["weights"]):
-            span = maxs[j] - mins[j]
-            v = (row[j] - mins[j]) / span if span > 0 else 0.0
-            s += w * min(max(v, 0.0), 1.0)
-        scores.append(s)
-    order = oracles.oracle_rank_order(cands, [round(s, 9) for s in scores])
+    order, scores = _oracle_order(model, cands, [row for _, row in features])
     return [(cands[i], scores[i]) for i in order]
 
 

@@ -4,7 +4,7 @@
 
 Run from the repository root. With ``--trace 0`` the result carries the
 end-to-end metrics of untraced rounds; with ``--trace 1`` it carries the
-per-layer metrics of a traced pass, the overhead against an untraced pass,
+per-layer metrics of traced rounds and the overhead against untraced rounds,
 and the spans are written to ``.benchwork/<workload>.trace.json``.
 ``--smoke`` shrinks every input so that a run takes seconds.
 """
@@ -12,6 +12,7 @@ and the spans are written to ``.benchwork/<workload>.trace.json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import statistics
@@ -22,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Set-up repeats at least three times and until three seconds have gone.
 SETUP_REPEATS, SETUP_SECONDS = 3, 3.0
+# A traced run makes at least two pairs of rounds, one in each order.
+TRACE_PAIRS = 2
 
 
 def _median_metrics(passes: list[dict]) -> dict:
@@ -56,38 +59,41 @@ def measure(wl, seconds: float) -> dict:
 
 
 def trace(wl, seconds: float, out: Path) -> dict:
-    """Pairs of one untraced and one traced pass (set-up plus one round)."""
-    from tracing import Tracer, per_layer_units
+    """A traced set-up, then pairs of rounds, one untraced and one traced,
+    the order alternating from pair to pair, until ``seconds`` pass."""
+    from tracing import SETUP_LAYERS, Tracer, per_layer_units
     from workloads import Session
 
-    ops, passes = [], []
+    session, setup = Session(), Tracer()
+    with setup.installed(session):
+        wl.setup(session)
+    n0 = len(session.ops)
+    tracers, pairs = [], []
     start = time.perf_counter()
-    while not passes or time.perf_counter() - start < seconds:
-        walls = []
-        for traced in (False, True):
-            tracer = Tracer() if traced else None
-            session = Session(tracer)
-            if traced:
-                tracer.install()
-            try:
+    while len(pairs) < TRACE_PAIRS or time.perf_counter() - start < seconds:
+        tracer, walls = Tracer(), {}
+        for traced in (False, True) if len(pairs) % 2 == 0 else (True, False):
+            with tracer.installed(session) if traced else contextlib.nullcontext():
                 t0 = time.perf_counter()
-                wl.setup(session)
-                n0 = len(session.ops)
                 wl.round(session)
-                walls.append(time.perf_counter() - t0)
-            finally:
-                if traced:
-                    tracer.uninstall()
-            ops += session.ops[n0:]
-        layer = tracer.layer_metrics()
-        layer["trace.overhead_s"] = walls[1] - walls[0]
-        layer["trace.overhead_pct"] = 100.0 * (walls[1] - walls[0]) / walls[0]
-        passes.append(layer)
-    values = _median_metrics(passes)
-    tracer.write(out, {"untraced_vs_traced_s": walls, "layer_metrics": values})
+                walls[traced] = time.perf_counter() - t0
+        tracers.append(tracer)
+        pairs.append(walls)
+    values = _median_metrics([t.layer_metrics() for t in tracers])
+    setup_values = setup.layer_metrics()
+    values.update({k: setup_values[k] for k in SETUP_LAYERS})
+    values["trace.overhead_s"] = statistics.median(p[True] - p[False] for p in pairs)
+    values["trace.overhead_pct"] = statistics.median(
+        100.0 * (p[True] - p[False]) / p[False] for p in pairs)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps({
+        "setup": setup.dump(), "rounds": [t.dump() for t in tracers],
+        "untraced_vs_traced_s": [[p[False], p[True]] for p in pairs],
+        "layer_metrics": values}, separators=(",", ":")) + "\n", encoding="utf-8")
     units = per_layer_units()
     metrics = {k: {"value": values[k], "unit": units[k]} for k in units}
-    return {"ops": ops, "metrics": metrics, "report": {}, "rounds": 2 * len(passes)}
+    return {"ops": session.ops[n0:], "metrics": metrics, "report": {},
+            "rounds": 2 * len(pairs)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         fails = [f"outputs could not be checked: {exc!r}"]
     for msg in fails:
         print(f"check failed: {msg}", file=sys.stderr)
-    for msg in wl.notes():
-        print(f"note: {msg}", file=sys.stderr)
     ops = result["ops"]
     failed = sum(1 for op in ops if not op.ok)
     print(f"{args.workload}: seed {args.seed}, {result['rounds']} rounds, "

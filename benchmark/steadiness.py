@@ -62,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in results[-1]["metrics"].items()),
                   flush=True)
         report[workload] = {
-            "correct": all(r["correct"] for r in results),
+            "incorrect_seeds": [seed for seed, r in enumerate(results, args.first_seed)
+                                if not r["correct"]],
             "failed_share": sorted({r["failed"] / r["attempted"] for r in results}),
             "metrics": {name: summarize([r["metrics"][name]["value"] for r in results])
                         for name in results[0]["metrics"]},
@@ -73,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, s in body["metrics"].items():
             print(f"{workload:<14}{name:<14}{s['median']:>12.5g}{s['q1']:>12.5g}"
                   f"{s['q3']:>12.5g}{s['spread']:>9.3f}")
-        print(f"{workload:<14}correct={body['correct']} "
+        print(f"{workload:<14}incorrect seeds={body['incorrect_seeds']} "
               f"failed share={body['failed_share']}")
 
     bounds = {}

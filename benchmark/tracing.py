@@ -9,15 +9,14 @@ them into per-layer self times and counts.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib
-import json
 import os
 import sys
 import time
 from array import array
 from collections import Counter
-from pathlib import Path
 
 # Hooks add layer counters from a traced call's arguments and result.
 
@@ -141,6 +140,8 @@ COUNTERS = {
     "metrics.calls": "count",
     "util.json_bytes_written": "B",
 }
+# Layers that only set-up reaches; their metrics come from the traced set-up.
+SETUP_LAYERS = ("simgen.generate_s", "simgen.generate_calls")
 OVERHEAD = {"trace.spans": "count", "trace.overhead_s": "s", "trace.overhead_pct": "%",
             "trace.span_cost_s": "s"}
 
@@ -228,6 +229,17 @@ class Tracer:
                                 self._patches.append((value, k, v, True))
                                 value[k] = wrapper
 
+    @contextlib.contextmanager
+    def installed(self, session):
+        """Trace ``session``'s operations for the duration of the block."""
+        session.tracer = self
+        self.install()
+        try:
+            yield self
+        finally:
+            self.uninstall()
+            session.tracer = None
+
     def _set(self, owner, key, value) -> None:
         self._patches.append((owner, key, getattr(owner, key), False))
         setattr(owner, key, value)
@@ -281,10 +293,10 @@ class Tracer:
         out["trace.span_cost_s"] = len(self.name) * self.span_cost()
         return out
 
-    def write(self, path: Path, extra: dict) -> None:
-        """Write every span plus the reduced metrics as one JSON document."""
+    def dump(self) -> dict:
+        """Every span plus its self times and counts, as one JSON-ready dict."""
         t0 = self.start[0] if len(self.start) else 0.0
-        doc = {
+        return {
             "span_names": self.span_names,
             "columns": ["name", "parent", "op", "start_s", "end_s"],
             "spans": [[self.name[i], self.parent[i], self.op[i],
@@ -292,7 +304,4 @@ class Tracer:
                       for i in range(len(self.name))],
             "self_times_s": self.self_times(),
             "counts": dict(sorted(self.counts.items())),
-            **extra,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
