@@ -128,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         fails = [f"outputs could not be checked: {exc!r}"]
     for msg in fails:
         print(f"check failed: {msg}", file=sys.stderr)
+    for msg in sorted(wl.faults):
+        print(f"operation failed: {msg}", file=sys.stderr)
     ops = result["ops"]
     failed = sum(1 for op in ops if not op.ok)
     print(f"{args.workload}: seed {args.seed}, {result['rounds']} rounds, "

@@ -69,6 +69,7 @@ class Workload:
         self.corpus = work / "corpus"
         self.run = work / "run"
         self.rounds: list = []  # per-round artifacts that checks compare
+        self.faults: set[str] = set()  # why operations failed their own checks
 
     def common(self, stage: str) -> list[str]:
         return [stage, "--in", str(self.corpus), "--out", str(self.run),
@@ -98,14 +99,30 @@ class Workload:
 
 
 class CvRanking(Workload):
-    """Default corpus; the nine commands from ingest to evaluate --mode cv."""
+    """Default corpus; the nine commands from ingest to evaluate --mode cv,
+    then ``train-ranker`` on a fixed corpus whose models fail their check."""
 
     name = "cv-ranking"
     stage_metrics = ("train-ranker", "evaluate")
     min_rounds = 2  # report.json must repeat byte for byte
+    # The same corpus whatever --seed is (simulator and master seed 1, 30
+    # readers). On it train-ranker stores a global metric.value that the saved
+    # weights do not reproduce, so the model check fails on every round: one
+    # failed operation a round. On seeded corpora the same fault shows on some
+    # seeds only, so the check is made on this corpus alone.
+    fixed_seed, fixed_readers = 1, 30
+
+    def fixed(self, stage: str) -> list[str]:
+        return [stage, "--in", str(self.work / "fixed" / "corpus"),
+                "--out", str(self.work / "fixed" / "run"), "--seed", str(self.fixed_seed)]
 
     def setup(self, session):
         self.simulate(session, 12 if self.smoke else None)
+        _require(session.cli("simulate", [
+            "simulate", "--out", str(self.work / "fixed" / "corpus"),
+            "--seed", str(self.fixed_seed), "--readers", str(self.fixed_readers)]))
+        for stage in TRAIN_STAGES:
+            _require(session.cli(stage, self.fixed(stage)))
 
     def round(self, session):
         shutil.rmtree(self.run, ignore_errors=True)
@@ -116,6 +133,11 @@ class CvRanking(Workload):
         session.cli("evaluate", self.common("evaluate") + ["--mode", "cv"]
                     + (["--folds", "2"] + small if self.smoke else []))
         self.rounds.append((self.run / "report.json").read_bytes())
+        op = session.cli("train-ranker (fixed corpus)", self.fixed("train-ranker"))
+        if op.ok:
+            faults = checks.check_model_metrics(self.work / "fixed" / "run")
+            op.ok = not faults
+            self.faults.update(faults)
 
     def check(self):
         return checks.check_cv_ranking(self.run, self.rounds)
@@ -149,7 +171,13 @@ class Recommend(Workload):
 
     name = "recommend"
     top = 5
-    batch = 50  # requests per round; two rounds make the 100 a p90 needs
+    distinct = 50  # requests drawn in set-up; the rounds cycle through them
+    batch = 10  # requests per round: short rounds give run_s a median of many
+    # 150 requests, more than the 100 that put ten beyond p90: on a shared
+    # 2-vCPU host, run_s over 100 requests spread by up to 0.32 of its median
+    # over ten seeds, and over 200 by up to 0.16; 200 would put the whole
+    # benchmark near its time limit.
+    min_rounds = 15
 
     def setup(self, session):
         self.simulate(session, 12 if self.smoke else None)
@@ -158,15 +186,12 @@ class Recommend(Workload):
             _require(session.cli(stage, self.common(stage)))
         _require(session.cli("train-ranker", self.common("train-ranker") + small))
         judged = checks.read_judged_queries(self.corpus)
-        qids = random.Random(self.seed).sample(sorted(judged), min(self.batch, len(judged)))
+        qids = random.Random(self.seed).sample(sorted(judged), min(self.distinct, len(judged)))
         self.requests = [(q, judged[q][1], judged[q][2], judged[q][0]) for q in qids]
 
-    @property
-    def min_rounds(self):
-        return -(-100 // len(self.requests))
-
     def round(self, session):
-        for _, paper, quote, reader in self.requests:
+        for _ in range(self.batch):
+            _, paper, quote, reader = self.requests[len(self.rounds) % len(self.requests)]
             op = session.cli("recommend", self.common("recommend") + [
                 "--paper", paper, "--quote", quote, "--reader", reader,
                 "--top", str(self.top)])
