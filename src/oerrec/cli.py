@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,9 @@ def _read_rankfeat(path) -> tuple[tuple[str, ...], list[QueryFeatures]]:
 def stage_simulate(cfg: PipelineConfig, written: list[Path]) -> str:
     out = Path(cfg.out_dir)
     sim = cfg.sim_config()
-    paths = simgen.write_simulation(sim, out, _comment(cfg, "simulate"))
-    written.extend(Path(p) for p in paths.values())
     result = simgen.generate(sim)
+    paths = simgen.write_simulation(sim, result, out, _comment(cfg, "simulate"))
+    written.extend(Path(p) for p in paths.values())
     return (f"simulate: {len(result.corpus.readers)} readers, "
             f"{len(result.corpus.events)} events, {len(result.corpus.oers)} oers, "
             f"{len(result.corpus.queries)} queries -> {out}")
@@ -96,13 +97,9 @@ def _load_features(cfg: PipelineConfig) -> features.FeatureMatrix:
 
 
 def stage_cluster(cfg: PipelineConfig, written: list[Path]) -> str:
-    fm = _load_features(cfg)
-    with_rpf = [r for r in fm.reader_ids if fm.has_rpf[r]]
-    vectors = features.combine_groups(
-        fm.subset_readers(with_rpf), cfg.cluster_groups, cfg.group_weights or None)
-    model = community_mod.cluster_readers(
-        vectors, cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
-        cfg.cluster_groups)
+    model = community_mod.cluster_profiles(
+        _load_features(cfg), cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
+        cfg.cluster_groups, cfg.group_weights)
     out = Path(cfg.out_dir)
     community_mod.write_communities(
         out / "communities.tsv", model.assignment,
@@ -124,17 +121,11 @@ def stage_cluster(cfg: PipelineConfig, written: list[Path]) -> str:
 
 
 def stage_train_community_classifier(cfg: PipelineConfig, written: list[Path]) -> str:
-    fm = _load_features(cfg)
     assignment, source = community_mod.read_communities(
         Path(cfg.out_dir) / "communities.tsv")
-    clustered = sorted(r for r, s in source.items() if s == "clustered")
-    behavior = features.combine_groups(fm, cfg.classifier_groups)
-    row = {r: i for i, r in enumerate(behavior.reader_ids)}
-    X = behavior.X[[row[r] for r in clustered]]
-    y = np.array([assignment[r] for r in clustered])
-    model = maxent.train_maxent(X, y, cfg.lam)
-    model.feature_space = {"groups": list(cfg.classifier_groups),
-                           "dim": behavior.X.shape[1]}
+    clustered = {r: c for r, c in assignment.items() if source[r] == "clustered"}
+    model = community_mod.fit_behavior_classifier(
+        _load_features(cfg), clustered, cfg.classifier_groups, cfg.lam)
     out = Path(cfg.out_dir) / "maxent.json"
     dump_json(out, model.to_dict(), cfg.meta("train-community-classifier"))
     written.append(out)
@@ -149,15 +140,10 @@ def stage_assign(cfg: PipelineConfig, written: list[Path]) -> str:
     assignment, source = community_mod.read_communities(out / "communities.tsv")
     d = load_json(out / "maxent.json")
     d.pop("_meta", None)
-    model = maxent.MaxEntModel.from_dict(d)
-    behavior = features.combine_groups(fm, cfg.classifier_groups)
-    row = {r: i for i, r in enumerate(behavior.reader_ids)}
-    missing = [r for r in fm.reader_ids if r not in assignment]
-    if missing:
-        labels, _ = maxent.predict_batch(model, behavior.X[[row[r] for r in missing]])
-        for r, c in zip(missing, labels):
-            assignment[r] = int(c)
-            source[r] = "predicted"
+    predicted = community_mod.predict_behavior(
+        fm, maxent.MaxEntModel.from_dict(d), assignment, cfg.classifier_groups)
+    assignment.update(predicted)
+    source.update({r: "predicted" for r in predicted})
     community_mod.write_communities(out / "communities.tsv", assignment, source,
                                     _comment(cfg, "assign"))
     written.append(out / "communities.tsv")
@@ -267,7 +253,8 @@ def stage_evaluate(cfg: PipelineConfig, written: list[Path], mode: str = "cv") -
             fm, queries, names, cfg.fraction, cfg.sim_folds,
             _stage_seed(cfg, "evaluate-missing-rpf"), cfg.cluster_k,
             cfg.distance, cfg.lam, cfg.folds, cfg.metric, cfg.restarts,
-            cfg.threshold, cfg.cluster_groups, cfg.classifier_groups)
+            cfg.threshold, cfg.cluster_groups, cfg.classifier_groups,
+            cfg.group_weights)
         path = out / "report_missing_rpf.json"
     else:
         raise ValueError(f"unknown evaluate mode {mode!r}")
@@ -385,16 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("in_dir", "out_dir", "seed", "k_loc", "cluster_k", "distance",
-                "lam", "metapath_file", "restarts", "threshold", "metric",
-                "folds", "fraction", "sim_folds")
 _SIM_KEYS = {"sim_readers": "n_readers", "sim_alpha": "alpha",
              "sim_noise": "grade_noise"}
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    over = {k: getattr(args, k) for k in _CONFIG_KEYS
-            if getattr(args, k, None) is not None}
+    over = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+            if getattr(args, f.name, None) is not None}
     sim_over = {ck: getattr(args, ak) for ak, ck in _SIM_KEYS.items()
                 if getattr(args, ak, None) is not None}
     if sim_over:
@@ -417,11 +401,12 @@ def main(argv: list[str] | None = None) -> int:
 
         written: list[Path] = []
         # the full effective config rides along so a run is reconstructible
-        # from its artifacts alone
-        dump_json(Path(cfg.out_dir) / "run_config.json",
-                  {"command": args.command, "config": cfg.to_dict()},
-                  cfg.meta(args.command))
-        written.append(Path(cfg.out_dir) / "run_config.json")
+        # from its artifacts alone; the read-only recommend leaves it as is
+        if args.command != "recommend":
+            dump_json(Path(cfg.out_dir) / "run_config.json",
+                      {"command": args.command, "config": cfg.to_dict()},
+                      cfg.meta(args.command))
+            written.append(Path(cfg.out_dir) / "run_config.json")
         try:
             if args.command == "recommend":
                 summary = stage_recommend(cfg, written, args.paper, args.quote,

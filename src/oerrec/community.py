@@ -6,16 +6,18 @@ that covers profile-less readers with a Maximum-Entropy classifier.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
 from .features import FeatureMatrix, RBF_GROUPS, RPF_GROUPS, UnifiedVectors, combine_groups
 from .kmedoids import kmedoids
 from .maxent import MaxEntModel, predict_batch, train_maxent
 from .util import atomic_write_text, rng_for
+
+log = logging.getLogger(__name__)
 
 # Reply exchanges double as evaluation ground truth, so the behavior groups
 # fed to the classifier exclude them by default.
@@ -94,6 +96,48 @@ def pairwise_cluster_eval(
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
+def cluster_profiles(
+    fm: FeatureMatrix, k: int, metric: str = "euclidean", seed: int = 0,
+    groups: tuple[str, ...] = RPF_GROUPS, weights: dict[str, float] | None = None,
+) -> CommunityModel:
+    """The one clustering of profile-bearing readers: their `groups`
+    vectors, each group scaled by its weight (unit when absent)."""
+    with_rpf = [r for r in fm.reader_ids if fm.has_rpf[r]]
+    if len(with_rpf) < k:
+        raise ValueError(f"only {len(with_rpf)} profile-bearing readers for k={k}")
+    vectors = combine_groups(fm.subset_readers(with_rpf), groups, weights or None)
+    return cluster_readers(vectors, k, metric, seed, groups)
+
+
+def fit_behavior_classifier(
+    fm: FeatureMatrix, labels: dict[str, int],
+    groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS, lam: float = 1.0,
+) -> MaxEntModel:
+    """MaxEnt classifier from the labelled readers' `groups` vectors to
+    their communities, rows in sorted-reader order."""
+    behavior = combine_groups(fm, groups)
+    rows = [i for i, r in enumerate(behavior.reader_ids) if r in labels]
+    y = np.array([labels[behavior.reader_ids[i]] for i in rows])
+    model = train_maxent(behavior.X[rows], y, lam)
+    model.feature_space = {"groups": list(groups), "dim": behavior.X.shape[1]}
+    return model
+
+
+def predict_behavior(
+    fm: FeatureMatrix, model: MaxEntModel, labels: dict[str, int],
+    groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
+) -> dict[str, int]:
+    """Predicted community of every reader of fm that `labels` lacks."""
+    behavior = combine_groups(fm, groups)
+    rest = [i for i, r in enumerate(behavior.reader_ids) if r not in labels]
+    silent = [behavior.reader_ids[i] for i in rest if not behavior.X[i].any()]
+    if silent:
+        log.info("readers %s have no behavior signal; prediction falls back "
+                 "to intercept-only scores", silent)
+    predicted, _ = predict_batch(model, behavior.X[rest])
+    return {behavior.reader_ids[i]: int(c) for i, c in zip(rest, predicted)}
+
+
 @dataclass
 class TwoStepResult:
     community_model: CommunityModel
@@ -110,6 +154,7 @@ def two_step_assign(
     seed: int = 0,
     cluster_groups: tuple[str, ...] = RPF_GROUPS,
     classifier_groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
+    group_weights: dict[str, float] | None = None,
 ) -> TwoStepResult:
     """Cluster profile-bearing readers, then extend the assignment to the
     rest by a Maximum-Entropy classifier trained on behavior features.
@@ -118,33 +163,12 @@ def two_step_assign(
     indices as labels; train the classifier on those readers'
     `classifier_groups` vectors; predict every remaining reader.
     """
-    with_rpf = [r for r in fm.reader_ids if fm.has_rpf[r]]
-    without_rpf = [r for r in fm.reader_ids if not fm.has_rpf[r]]
-    if len(with_rpf) < k:
-        raise ValueError(f"only {len(with_rpf)} profile-bearing readers for k={k}")
-
-    cluster_vecs = combine_groups(fm.subset_readers(with_rpf), cluster_groups)
-    model = cluster_readers(cluster_vecs, k, metric, seed, cluster_groups)
-
-    behavior = combine_groups(fm, classifier_groups)
-    row = {r: i for i, r in enumerate(behavior.reader_ids)}
-    X_train = behavior.X[[row[r] for r in with_rpf]]
-    y_train = np.array([model.assignment[r] for r in with_rpf])
-    maxent = train_maxent(X_train, y_train, lam)
-    maxent.feature_space = {"groups": list(classifier_groups), "dim": behavior.X.shape[1]}
-
-    assignment = dict(model.assignment)
-    source = {r: "clustered" for r in with_rpf}
-    if without_rpf:
-        labels, _ = predict_batch(maxent, behavior.X[[row[r] for r in without_rpf]])
-        for r, c in zip(without_rpf, labels):
-            assignment[r] = int(c)
-            source[r] = "predicted"
-    return TwoStepResult(model, maxent, assignment, source)
-
-
-def reply_ground_truth(corpus: Corpus) -> set[frozenset]:
-    return corpus.reply_pairs()
+    model = cluster_profiles(fm, k, metric, seed, cluster_groups, group_weights)
+    maxent = fit_behavior_classifier(fm, model.assignment, classifier_groups, lam)
+    predicted = predict_behavior(fm, maxent, model.assignment, classifier_groups)
+    source = {r: "clustered" for r in model.assignment}
+    source.update({r: "predicted" for r in predicted})
+    return TwoStepResult(model, maxent, {**model.assignment, **predicted}, source)
 
 
 # -- communities.tsv ------------------------------------------------------

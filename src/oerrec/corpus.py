@@ -114,9 +114,6 @@ class Corpus:
     def reader_ids(self) -> list[str]:
         return sorted(self.readers)
 
-    def events_by_reader(self, reader_id: str) -> list[ReadingEvent]:
-        return [e for e in self.events.values() if e.reader_id == reader_id]
-
     def paper_ids(self) -> list[str]:
         ids = {e.paper_id for e in self.events.values()}
         ids.update(q.paper_id for q in self.queries.values())

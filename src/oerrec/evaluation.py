@@ -10,13 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import DEFAULT_CLASSIFIER_GROUPS, cluster_readers
-from .features import FeatureMatrix, RPF_GROUPS, combine_groups
-from .maxent import predict_batch, train_maxent
-from .metrics import average_precision_at_k, mrr, ndcg_at_k, sign_test
+from .community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
+                        fit_behavior_classifier, predict_behavior)
+from .features import FeatureMatrix, RPF_GROUPS
+from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
-from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, rank_query,
-                     train_communitized)
+from .ranker import DEFAULT_RESTARTS, DEFAULT_THRESHOLD, train_communitized
 from .util import dump_json, fork_seed, load_json, rng_for
 
 log = logging.getLogger(__name__)
@@ -29,16 +28,7 @@ def query_metrics(ranked_gains: list[int]) -> dict[str, float] | None:
     query (no positive gain anywhere, so nDCG normalization is undefined)."""
     if not any(g > 0 for g in ranked_gains):
         return None
-    n = len(ranked_gains)
-    return {
-        "map@3": average_precision_at_k(ranked_gains, 3),
-        "map@5": average_precision_at_k(ranked_gains, 5),
-        "map@all": average_precision_at_k(ranked_gains, n),
-        "ndcg@3": ndcg_at_k(ranked_gains, 3),
-        "ndcg@5": ndcg_at_k(ranked_gains, 5),
-        "ndcg@all": ndcg_at_k(ranked_gains, n),
-        "mrr": mrr(ranked_gains),
-    }
+    return list_metrics(ranked_gains, METRIC_NAMES)
 
 
 def _means(rows: list[dict[str, float]]) -> dict[str, float] | None:
@@ -189,17 +179,21 @@ def cross_validate_ranking(
             train, assignment, feature_names, metric_spec, restarts, threshold,
             seed=fork_seed(seed, f"fold:{f}"))
         for q in test:
-            community = assignment[q.reader_id]
-            if community not in rset.models:
+            if assignment[q.reader_id] not in rset.models:
                 log.info("fold %d: community %s has no model; query %s uses global",
-                         f, community, q.query_id)
-            comm_metrics = query_metrics(rank_query(rset.resolve(community), q))
-            glob_metrics = query_metrics(rank_query(rset.global_model, q))
-            if comm_metrics is None:
-                skipped.append(q.query_id)
-                continue
-            per_query["communitized"][q.query_id] = comm_metrics
-            per_query["global"][q.query_id] = glob_metrics
+                         f, assignment[q.reader_id], q.query_id)
+        skipped += [q.query_id for q in test if not (q.gains > 0).any()]
+        scored = [q for q in test if (q.gains > 0).any()]
+        # one padded call scores both systems on every scored test query
+        kernel = RankingKernel([q.gains for q in scored], [q.candidates for q in scored])
+        scores = np.zeros((2,) + kernel.gains.shape)
+        for qi, q in enumerate(scored):
+            scores[0, qi, :len(q.candidates)] = rset.resolve(assignment[q.reader_id]).score(q.X)
+            scores[1, qi, :len(q.candidates)] = rset.global_model.score(q.X)
+        values = {m: v.tolist() for m, v in kernel(scores, METRIC_NAMES).items()}
+        for si, system in enumerate(("communitized", "global")):
+            for qi, q in enumerate(scored):
+                per_query[system][q.query_id] = {m: values[m][si][qi] for m in METRIC_NAMES}
 
     return MetricReport(
         per_query=per_query,
@@ -229,14 +223,16 @@ def simulate_missing_rpf(
     threshold: int = DEFAULT_THRESHOLD,
     cluster_groups: tuple[str, ...] = RPF_GROUPS,
     classifier_groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
+    group_weights: dict[str, float] | None = None,
 ) -> MetricReport:
     """Strip profiles from successive reader folds, predict those readers'
     communities from behavior alone, and rerun the ranking evaluation on the
     partially predicted assignment.
 
     Reference communities come from one profile clustering over all readers,
-    so per-fold predictions share a single label space and a perfect
-    classifier reproduces the full-profile run exactly. The report's extras
+    weighted like the pipeline's (`cluster_profiles`), so per-fold
+    predictions share a single label space and a perfect classifier
+    reproduces the full-profile run exactly. The report's extras
     carry the prediction accuracy and confusion counts.
     """
     if not 0.0 <= fraction <= 1.0:
@@ -250,41 +246,24 @@ def simulate_missing_rpf(
         raise ValueError(f"simulation requires profiles for all readers; missing: {lacking}")
 
     readers = list(fm.reader_ids)
-    reference = cluster_readers(
-        combine_groups(fm, cluster_groups), k, distance,
-        fork_seed(seed, "sim-reference"), cluster_groups).assignment
+    reference = cluster_profiles(fm, k, distance, fork_seed(seed, "sim-reference"),
+                                 cluster_groups, group_weights).assignment
 
     order = [readers[i] for i in rng_for(seed, "sim-folds").permutation(len(readers))]
     n = len(readers)
-    held_out: list[list[str]] = []
-    for f in range(folds):
-        lo = round(f * fraction * n)
-        hi = round((f + 1) * fraction * n)
-        held_out.append(order[lo:hi])
-
-    behavior = combine_groups(fm, classifier_groups)
-    row = {r: i for i, r in enumerate(behavior.reader_ids)}
     predicted = dict(reference)
     confusion = np.zeros((k, k), dtype=np.int64)
-    n_predicted = n_correct = 0
-    for f, held in enumerate(held_out):
+    for f in range(folds):
+        held = set(order[round(f * fraction * n):round((f + 1) * fraction * n)])
         if not held:
             continue
-        known = [r for r in readers if r not in set(held)]
-        X_train = behavior.X[[row[r] for r in known]]
-        y_train = np.array([reference[r] for r in known])
-        model = train_maxent(X_train, y_train, lam)
-        X_held = behavior.X[[row[r] for r in held]]
-        zero_rows = [r for r, x in zip(held, X_held) if not np.any(x)]
-        if zero_rows:
-            log.info("fold %d: readers %s have no behavior signal; "
-                     "prediction falls back to intercept-only scores", f, zero_rows)
-        labels, _ = predict_batch(model, X_held)
-        for r, c in zip(held, labels):
-            predicted[r] = int(c)
-            confusion[reference[r], int(c)] += 1
-            n_predicted += 1
-            n_correct += int(c == reference[r])
+        known = {r: c for r, c in reference.items() if r not in held}
+        model = fit_behavior_classifier(fm, known, classifier_groups, lam)
+        for r, c in predict_behavior(fm, model, known, classifier_groups).items():
+            predicted[r] = c
+            confusion[reference[r], c] += 1
+    n_predicted = int(confusion.sum())
+    n_correct = int(np.trace(confusion))
 
     report = cross_validate_ranking(
         queries, feature_names, predicted, cv_folds,

@@ -126,8 +126,11 @@ class FeatureMatrix:
     has_rpf: dict[str, bool]
     settings: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._row = {r: i for i, r in enumerate(self.reader_ids)}
+
     def row_index(self, reader_id: str) -> int:
-        return self.reader_ids.index(reader_id)
+        return self._row[reader_id]
 
     def group(self, name: str) -> FeatureGroup:
         if name not in self.groups:
@@ -136,7 +139,7 @@ class FeatureMatrix:
 
     def subset_readers(self, reader_ids) -> "FeatureMatrix":
         keep = sorted(reader_ids)
-        idx = [self.reader_ids.index(r) for r in keep]
+        idx = [self._row[r] for r in keep]
         return FeatureMatrix(
             tuple(keep),
             {n: FeatureGroup(g.name, g.labels, g.matrix[idx]) for n, g in self.groups.items()},

@@ -3,18 +3,19 @@
 
 Training evaluates the mean metric over every query at once: scores live in
 a padded (queries, max_candidates) array, candidate weight values for one
-coordinate are batched along a leading axis, and the induced rankings come
-from one lexsort (descending score, ascending oer_id as the tie-break).
+coordinate are batched along a leading axis, and `metrics.RankingKernel`
+ranks and scores the whole batch (descending score, ascending oer_id as the
+tie-break). Inference orders candidates with the same `rank_order`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .metrics import RankingKernel, parse_metric, rank_order, tie_ranks
 from .rankfeatures import QueryFeatures, RankFeatureVector
 from .util import dump_json, fork_seed, load_json, rng_for
 
@@ -23,7 +24,6 @@ SWEEP_TOL = 1e-5
 MAX_SWEEPS = 25
 DEFAULT_RESTARTS = 5
 DEFAULT_THRESHOLD = 10
-RELEVANCE_THRESHOLD = 1
 
 
 @dataclass
@@ -58,6 +58,10 @@ class RankingModel:
     norm: NormRecord
     trace: list[float] = field(default_factory=list)  # metric after each accepted step
 
+    def score(self, X: np.ndarray) -> np.ndarray:
+        """Scores of raw feature rows (n, d)."""
+        return self.norm.apply(X) @ self.weights
+
     def to_dict(self) -> dict:
         return {
             "feature_names": list(self.feature_names),
@@ -79,76 +83,6 @@ class RankingModel:
             NormRecord.from_dict(d["normalization"]),
             list(d.get("trace", [])),
         )
-
-
-# -- padded training representation ----------------------------------------
-
-@dataclass
-class _Padded:
-    X: np.ndarray  # (Q, C, d) normalized features, zero padding
-    gains: np.ndarray  # (Q, C) float, zero padding
-    pad: np.ndarray  # (Q, C) bool
-    tie: np.ndarray  # (Q, C) rank of oer_id within the query, large padding
-
-
-def _pad_queries(queries: list[QueryFeatures], norm: NormRecord) -> _Padded:
-    Q = len(queries)
-    C = max(len(q.candidates) for q in queries)
-    d = queries[0].X.shape[1]
-    X = np.zeros((Q, C, d))
-    gains = np.zeros((Q, C))
-    pad = np.ones((Q, C), dtype=bool)
-    tie = np.full((Q, C), C, dtype=np.int64)
-    for qi, q in enumerate(queries):
-        n = len(q.candidates)
-        X[qi, :n] = norm.apply(q.X)
-        gains[qi, :n] = q.gains
-        pad[qi, :n] = False
-        order = sorted(range(n), key=lambda i: q.candidates[i])
-        for rank, i in enumerate(order):
-            tie[qi, i] = rank
-    return _Padded(X, gains, pad, tie)
-
-
-class _MeanMetric:
-    """Mean training metric over queries for batched score arrays.
-
-    Accepts scores shaped (..., Q, C) and returns (...); queries without a
-    positive gain were dropped before padding, so every row counts.
-    """
-
-    def __init__(self, padded: _Padded, metric_spec: str):
-        self.p = padded
-        m = re.fullmatch(r"(ndcg|map)@(\d+)|mrr", metric_spec)
-        if not m:
-            raise ValueError(f"unknown metric spec {metric_spec!r}")
-        self.kind = "mrr" if m.group(0) == "mrr" else m.group(1)
-        self.k = int(m.group(2)) if m.group(2) else None
-        C = padded.gains.shape[1]
-        self.discounts = 1.0 / np.log2(np.arange(C) + 2.0)
-        if self.kind == "ndcg":
-            ideal = -np.sort(-padded.gains, axis=1)
-            self.idcg = (ideal[:, :self.k] * self.discounts[:self.k]).sum(axis=1)
-        rel = (padded.gains >= RELEVANCE_THRESHOLD) & ~padded.pad
-        self.total_relevant = rel.sum(axis=1)
-
-    def __call__(self, scores: np.ndarray) -> np.ndarray:
-        p = self.p
-        masked = np.where(p.pad, -np.inf, scores)
-        order = np.lexsort((np.broadcast_to(p.tie, masked.shape), -masked), axis=-1)
-        g = np.take_along_axis(np.broadcast_to(p.gains, masked.shape), order, axis=-1)
-        if self.kind == "ndcg":
-            dcg = (g[..., :self.k] * self.discounts[:self.k]).sum(axis=-1)
-            return (dcg / self.idcg).mean(axis=-1)
-        rel = g >= RELEVANCE_THRESHOLD
-        if self.kind == "map":
-            ranks = np.arange(1, g.shape[-1] + 1, dtype=np.float64)
-            precision = np.cumsum(rel, axis=-1) / ranks
-            ap_num = (precision * rel)[..., :self.k].sum(axis=-1)
-            denom = np.minimum(self.total_relevant, self.k)
-            return (ap_num / denom).mean(axis=-1)
-        first = np.argmax(rel, axis=-1)
-        return (1.0 / (first + 1.0)).mean(axis=-1)  # every query has a relevant item
 
 
 def _fit_norm(queries: list[QueryFeatures]) -> NormRecord:
@@ -173,10 +107,17 @@ def coordinate_ascent_train(
     trainable = [q for q in queries if (q.gains > 0).any()]
     if not trainable:
         raise ValueError("untrainable: no query with a positive gain")
+    kind, k = parse_metric(metric_spec)
     norm = _fit_norm(queries)
-    padded = _pad_queries(trainable, norm)
-    mean_metric = _MeanMetric(padded, metric_spec)
+    kernel = RankingKernel([q.gains for q in trainable], [q.candidates for q in trainable])
     d = len(feature_names)
+    X = np.zeros(kernel.gains.shape + (d,))  # normalized features, zero padding
+    for qi, q in enumerate(trainable):
+        X[qi, :len(q.candidates)] = norm.apply(q.X)
+
+    def mean_metric(scores: np.ndarray) -> np.ndarray:
+        """Mean over queries of the training metric, for scores (..., Q, C)."""
+        return kernel.metric(kernel.ranked_gains(scores), kind, k).mean(axis=-1)
 
     best: tuple[float, int, np.ndarray, list[float]] | None = None
     for r in range(restarts):
@@ -184,7 +125,7 @@ def coordinate_ascent_train(
             w = np.full(d, 1.0 / d)
         else:
             w = rng_for(seed, f"restart:{r}").uniform(-1.0, 1.0, d)
-        scores = padded.X @ w
+        scores = X @ w
         current = float(mean_metric(scores))
         trace = [current]
         for _ in range(MAX_SWEEPS):
@@ -194,7 +135,7 @@ def coordinate_ascent_train(
                 values = np.array(
                     [m * base for m in STEP_GRID]
                     + [-m * base for m in STEP_GRID] + [0.0])
-                batch = scores[None] + (values - w[j])[:, None, None] * padded.X[:, :, j][None]
+                batch = scores[None] + (values - w[j])[:, None, None] * X[:, :, j][None]
                 metrics = mean_metric(batch)
                 bi = int(np.argmax(metrics))
                 gain = float(metrics[bi]) - current
@@ -227,17 +168,14 @@ def rank(model: RankingModel, vectors: list[RankFeatureVector]) -> list[tuple[st
                 f"feature names {v.names} do not match model {model.feature_names}")
     if not vectors:
         return []
-    X = model.norm.apply(np.stack([v.values for v in vectors]))
-    scores = X @ model.weights
-    order = sorted(range(len(vectors)), key=lambda i: (-scores[i], vectors[i].oer_id))
-    return [(vectors[i].oer_id, float(scores[i])) for i in order]
+    ids = [v.oer_id for v in vectors]
+    scores = model.score(np.stack([v.values for v in vectors]))
+    return [(ids[i], float(scores[i])) for i in rank_order(scores, tie_ranks(ids))]
 
 
 def rank_query(model: RankingModel, q: QueryFeatures) -> list[int]:
     """Gains of the query's candidates in the model's ranked order."""
-    X = model.norm.apply(q.X)
-    scores = X @ model.weights
-    order = sorted(range(len(q.candidates)), key=lambda i: (-scores[i], q.candidates[i]))
+    order = rank_order(model.score(q.X), tie_ranks(q.candidates))
     return [int(q.gains[i]) for i in order]
 
 

@@ -112,21 +112,6 @@ class RankFeatureExtractor:
         return [RankFeatureVector(c, self.feature_names, X[i]) for i, c in enumerate(candidates)]
 
 
-def extract_rank_features(
-    graph: HetGraph,
-    query_context: dict,
-    candidates,
-    metapaths: list[MetaPath],
-    oers: dict[str, OerItem],
-    mu: float = 2000.0,
-    k1: float = 1.2,
-    b: float = 0.75,
-    settings: TokenizerSettings = DEFAULT_SETTINGS,
-) -> list[RankFeatureVector]:
-    extractor = RankFeatureExtractor(graph, metapaths, oers, mu, k1, b, settings)
-    return extractor.extract(query_context["paper_id"], query_context["quote_text"], candidates)
-
-
 def build_query_features(
     corpus: Corpus,
     extractor: RankFeatureExtractor,

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .text import DEFAULT_SETTINGS, TokenizerSettings, tokenize
-
 
 @dataclass
 class CollectionStats:
@@ -39,11 +37,6 @@ class CollectionStats:
             for t in set(tokens):
                 stats.doc_freq[t] = stats.doc_freq.get(t, 0) + 1
         return stats
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str],
-                   settings: TokenizerSettings = DEFAULT_SETTINGS) -> "CollectionStats":
-        return cls.build(tokenize(t, settings) for t in texts)
 
 
 @dataclass

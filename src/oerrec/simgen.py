@@ -379,15 +379,15 @@ def generate_corpus(config: SimConfig) -> tuple[Corpus, dict[str, int]]:
     return result.corpus, result.latent
 
 
-def write_simulation(config: SimConfig, out_dir, comment: str | None = None) -> dict[str, str]:
+def write_simulation(config: SimConfig, result: SimResult, out_dir,
+                     comment: str | None = None) -> dict[str, str]:
     """Corpus streams, graph files, default meta-paths, latent labels and a
-    config echo, all under out_dir.
+    config echo for `result = generate(config)`, all under out_dir.
 
     The corpus streams stay comment-free (their formats carry no comments);
     provenance for them lives in sim_config.json.
     """
     out = Path(out_dir)
-    result = generate(config)
     paths = write_corpus(result.corpus, out)
 
     latent_lines = ["# reader_id\tcommunity"]

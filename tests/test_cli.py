@@ -113,6 +113,15 @@ class TestStages:
         assert ranked[0].split("\t")[0] == "1"
         assert out[-1].startswith("recommend: model=")
 
+    def test_recommend_leaves_run_config_unchanged(self, pipeline_dir, capsys):
+        before = (pipeline_dir / "run_config.json").read_bytes()
+        assert run_cli([
+            "recommend", "--in", pipeline_dir, "--out", pipeline_dir,
+            "--seed", "3", "--paper", "p00", "--quote", "topic00",
+            "--reader", "r001",
+        ]) == 0
+        assert (pipeline_dir / "run_config.json").read_bytes() == before
+
     def test_evaluate_missing_rpf_mode(self, pipeline_dir, capsys):
         assert run_cli([
             "evaluate", "--in", pipeline_dir, "--out", pipeline_dir,

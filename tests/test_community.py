@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oerrec.community import (
+    cluster_profiles,
     cluster_readers,
     pairwise_cluster_eval,
     read_communities,
-    reply_ground_truth,
     two_step_assign,
     write_communities,
 )
@@ -109,11 +109,6 @@ class TestPairwiseEval:
         )
 
 
-class TestReplyGroundTruth:
-    def test_equals_corpus_reply_pairs(self, toy_corpus):
-        assert reply_ground_truth(toy_corpus) == toy_corpus.reply_pairs()
-
-
 def strip_profiles(corpus: Corpus, readers_to_strip) -> Corpus:
     readers = dict(corpus.readers)
     for r in readers_to_strip:
@@ -149,6 +144,14 @@ class TestTwoStep:
             combine_groups(fm.subset_readers(with_rpf), RPF_GROUPS), 3, seed=2
         )
         assert {r: ts.assignment[r] for r in with_rpf} == direct.assignment
+
+    def test_group_weights_reach_the_clustering(self, sim):
+        _, _, fm = sim
+        weights = {"RPF-TB": 5.0}
+        ts = two_step_assign(fm, k=3, seed=2, group_weights=weights)
+        weighted = cluster_profiles(fm, 3, seed=2, weights=weights).assignment
+        assert {r: ts.assignment[r] for r in weighted} == weighted
+        assert weighted != cluster_profiles(fm, 3, seed=2).assignment
 
     def test_deterministic(self, sim):
         _, _, fm = sim

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oerrec.community import cluster_profiles
 from oerrec.evaluation import (
     METRIC_NAMES,
     MetricReport,
@@ -304,6 +305,20 @@ class TestSimulateMissingRpf:
         )
         assert report.per_query == direct.per_query
         assert report.skipped == direct.skipped
+
+    def test_reference_clustering_honours_group_weights(self, clean_sim):
+        # With weights set, a perfect classifier must reproduce the weighted
+        # clustering the pipeline's cluster stage makes, not the unweighted one.
+        fm, queries, names = clean_sim
+        weights = {"RPF-TB": 5.0}
+        report = simulate_missing_rpf(
+            fm, queries, names, fraction=0.25, folds=2, seed=3, k=3,
+            cv_folds=4, restarts=2, threshold=5, group_weights=weights,
+        )
+        reference = report.extras["reference_assignment"]
+        seed = fork_seed(3, "sim-reference")
+        assert reference == cluster_profiles(fm, 3, seed=seed, weights=weights).assignment
+        assert reference != cluster_profiles(fm, 3, seed=seed).assignment
 
     def test_confusion_matrix_accounts_for_every_prediction(self, clean_sim):
         fm, queries, names = clean_sim

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oerrec.metrics import (
+    RankingKernel,
     average_precision_at_k,
     dcg_at_k,
+    list_metrics,
     mrr,
     ndcg_at_k,
     sign_test,
@@ -84,6 +87,44 @@ class TestMrr:
     @given(grade_lists)
     def test_matches_oracle(self, grades):
         assert mrr(grades) == pytest.approx(oracle_mrr(grades), abs=1e-12)
+
+
+# Per query: (gain, score) candidates; scores from a small set, so ties are common.
+padded_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=10),
+    min_size=1, max_size=6,
+)
+KERNEL_SPECS = ("ndcg@1", "ndcg@3", "ndcg@5", "ndcg@all",
+                "map@1", "map@3", "map@5", "map@all", "mrr")
+
+
+class TestRankingKernel:
+    @given(padded_batches)
+    def test_padded_batch_matches_oracles(self, rows):
+        gain_lists = [[g for g, _ in row] for row in rows]
+        # ids out of position order, so the oer_id tie-break is exercised
+        id_lists = [[f"oer{7 * j % 11:02d}" for j in range(len(row))] for row in rows]
+        kernel = RankingKernel(gain_lists, id_lists)
+        scores = np.full(kernel.gains.shape, 99.0)  # padding must sort last anyway
+        for qi, row in enumerate(rows):
+            scores[qi, :len(row)] = [s for _, s in row]
+        values = kernel(scores, KERNEL_SPECS)
+        for qi, row in enumerate(rows):
+            order = sorted(range(len(row)), key=lambda j: (-row[j][1], id_lists[qi][j]))
+            ranked = [row[j][0] for j in order]
+            one_row = list_metrics(ranked, KERNEL_SPECS)
+            for spec in KERNEL_SPECS:
+                kind, _, at = spec.partition("@")
+                k = len(ranked) if at == "all" else int(at or 0)
+                want = {"ndcg": lambda: oracle_ndcg(ranked, k),
+                        "map": lambda: oracle_ap(ranked, k),
+                        "mrr": lambda: oracle_mrr(ranked)}[kind]()
+                have = values[spec][qi]
+                if want is None:
+                    assert math.isnan(have) and math.isnan(one_row[spec])
+                    continue
+                assert have == pytest.approx(want, abs=1e-12)
+                assert have == one_row[spec]  # batch width does not move a bit
 
 
 class TestSignTest:

@@ -163,7 +163,7 @@ class TestSeparationAtAlphaOne:
 
 class TestArtifacts:
     def test_write_simulation_emits_all_files(self, tmp_path):
-        paths = write_simulation(SMALL, tmp_path, comment="run 1")
+        paths = write_simulation(SMALL, generate(SMALL), tmp_path, comment="run 1")
         expected = {"readers.jsonl", "events.jsonl", "oers.jsonl",
                     "judgments.tsv", "latent.tsv", "vertices.tsv",
                     "edges.tsv", "metapaths.json", "sim_config.json"}
@@ -174,7 +174,7 @@ class TestArtifacts:
         assert expected <= names
 
     def test_latent_file_round_trips(self, tmp_path):
-        write_simulation(SMALL, tmp_path, comment="hello")
+        write_simulation(SMALL, generate(SMALL), tmp_path, comment="hello")
         latent = read_latent(tmp_path / "latent.tsv")
         assert latent == generate(SMALL).latent
         lines = (tmp_path / "latent.tsv").read_text().splitlines()
@@ -182,13 +182,13 @@ class TestArtifacts:
         assert lines[1] == "# hello"
 
     def test_corpus_streams_byte_match_in_memory_serialization(self, tmp_path):
-        write_simulation(SMALL, tmp_path)
+        write_simulation(SMALL, generate(SMALL), tmp_path)
         expected = corpus_bytes(generate(SMALL).corpus)
         for name, blob in expected.items():
             assert (tmp_path / name).read_bytes() == blob
 
     def test_sim_config_echo_carries_meta(self, tmp_path):
-        write_simulation(SMALL, tmp_path)
+        write_simulation(SMALL, generate(SMALL), tmp_path)
         text = (tmp_path / "sim_config.json").read_text()
         assert '"_meta"' in text
         assert '"config_hash"' in text
