@@ -46,45 +46,44 @@ def _read_rankfeat(path) -> tuple[tuple[str, ...], list[QueryFeatures]]:
 
 
 # -- stages ------------------------------------------------------------------
-# Each returns a one-line summary and appends every file it wrote to `written`.
+# Each reads and checks all its inputs before its first write and returns a
+# one-line summary. Every write is atomic, so a failed command leaves the
+# files of an earlier run as they were.
 
-def stage_simulate(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_simulate(cfg: PipelineConfig) -> str:
     out = Path(cfg.out_dir)
     sim = cfg.sim_config()
     result = simgen.generate(sim)
-    paths = simgen.write_simulation(sim, result, out, _comment(cfg, "simulate"))
-    written.extend(Path(p) for p in paths.values())
+    simgen.write_simulation(sim, result, out, _comment(cfg, "simulate"))
     return (f"simulate: {len(result.corpus.readers)} readers, "
             f"{len(result.corpus.events)} events, {len(result.corpus.oers)} oers, "
             f"{len(result.corpus.queries)} queries -> {out}")
 
 
-def stage_ingest(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_ingest(cfg: PipelineConfig) -> str:
     corpus = read_corpus(cfg.in_dir)
     report = validate_corpus(corpus)
     out = Path(cfg.out_dir)
-    if Path(cfg.in_dir).resolve() != out.resolve():
-        paths = write_corpus(corpus, out)
-        written.extend(Path(p) for p in paths.values())
+    # validation.json records the issues even when the corpus fails them
     dump_json(out / "validation.json", {
         "consistent": report.consistent,
         "issues": [{"kind": i.kind, "message": i.message} for i in report.issues],
         "event_counts": report.event_counts,
     }, cfg.meta("ingest"))
-    written.append(out / "validation.json")
     if not report.consistent:
         raise ValueError(f"corpus inconsistent: {len(report.issues)} issues "
                          f"(see {out / 'validation.json'})")
+    if Path(cfg.in_dir).resolve() != out.resolve():
+        write_corpus(corpus, out)
     return (f"ingest: {len(corpus.readers)} readers, {len(corpus.events)} events, "
             f"{len(corpus.queries)} queries, consistent={report.consistent}")
 
 
-def stage_featurize(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_featurize(cfg: PipelineConfig) -> str:
     corpus = read_corpus(cfg.in_dir)
     fm = features.extract_features(corpus, cfg.k_loc, _stage_seed(cfg, "featurize"))
     out = Path(cfg.out_dir) / "features.json"
     dump_json(out, features.features_to_dict(fm), cfg.meta("featurize"))
-    written.append(out)
     dims = {name: g.dim for name, g in fm.groups.items()}
     return f"featurize: {len(fm.reader_ids)} readers, group dims {dims}"
 
@@ -96,31 +95,28 @@ def _load_features(cfg: PipelineConfig) -> features.FeatureMatrix:
     return features.features_from_dict(d)
 
 
-def stage_cluster(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_cluster(cfg: PipelineConfig) -> str:
+    fm = _load_features(cfg)
     model = community_mod.cluster_profiles(
-        _load_features(cfg), cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
+        fm, cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
         cfg.cluster_groups, cfg.group_weights)
+    pairs = {p for p in fm.reply_pairs()
+             if all(r in model.assignment for r in p)}
+    scores = community_mod.pairwise_cluster_eval(model.assignment, pairs)
     out = Path(cfg.out_dir)
     community_mod.write_communities(
         out / "communities.tsv", model.assignment,
         {r: "clustered" for r in model.assignment}, _comment(cfg, "cluster"))
-    written.append(out / "communities.tsv")
-
-    corpus = read_corpus(cfg.in_dir)
-    pairs = {p for p in corpus.reply_pairs()
-             if all(r in model.assignment for r in p)}
-    scores = community_mod.pairwise_cluster_eval(model.assignment, pairs)
     dump_json(out / "cluster_eval.json", {
         "k": model.k, "metric": model.metric, "cost": model.cost,
         "medoids": list(model.medoid_reader_ids),
         "reply_pair_eval": scores,
     }, cfg.meta("cluster"))
-    written.append(out / "cluster_eval.json")
     return (f"cluster: k={model.k} over {len(model.assignment)} readers, "
             f"cost={model.cost:.4f}, reply-pair f1={scores['f1']:.4f}")
 
 
-def stage_train_community_classifier(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_train_community_classifier(cfg: PipelineConfig) -> str:
     assignment, source = community_mod.read_communities(
         Path(cfg.out_dir) / "communities.tsv")
     clustered = {r: c for r, c in assignment.items() if source[r] == "clustered"}
@@ -128,13 +124,12 @@ def stage_train_community_classifier(cfg: PipelineConfig, written: list[Path]) -
         _load_features(cfg), clustered, cfg.classifier_groups, cfg.lam)
     out = Path(cfg.out_dir) / "maxent.json"
     dump_json(out, model.to_dict(), cfg.meta("train-community-classifier"))
-    written.append(out)
     return (f"train-community-classifier: {model.n_classes} classes, "
             f"{model.n_features} features, {model.iterations} iterations, "
             f"grad norm {model.final_grad_norm:.2e}")
 
 
-def stage_assign(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_assign(cfg: PipelineConfig) -> str:
     fm = _load_features(cfg)
     out = Path(cfg.out_dir)
     assignment, source = community_mod.read_communities(out / "communities.tsv")
@@ -146,36 +141,32 @@ def stage_assign(cfg: PipelineConfig, written: list[Path]) -> str:
     source.update({r: "predicted" for r in predicted})
     community_mod.write_communities(out / "communities.tsv", assignment, source,
                                     _comment(cfg, "assign"))
-    written.append(out / "communities.tsv")
     return (f"assign: {len(assignment)} readers "
             f"({sum(1 for s in source.values() if s == 'predicted')} predicted)")
 
 
-def stage_graph_build(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_graph_build(cfg: PipelineConfig) -> str:
     in_dir = Path(cfg.in_dir)
     graph = hetgraph.read_graph(in_dir / "vertices.tsv", in_dir / "edges.tsv")
-    out = Path(cfg.out_dir)
-    if in_dir.resolve() != out.resolve():
-        hetgraph.write_graph(graph, out / "vertices.tsv", out / "edges.tsv",
-                             _comment(cfg, "graph-build"))
-        written.extend([out / "vertices.tsv", out / "edges.tsv"])
     mp_path = cfg.metapath_file or (in_dir / "metapaths.json")
     if Path(mp_path).exists():
         paths = hetgraph.read_metapaths(mp_path)
     else:
         paths = hetgraph.default_metapaths()
+    counts = {t: len(graph.vertices(t)) for t in ("paper", "topic", "oer")}
+    out = Path(cfg.out_dir)
+    if in_dir.resolve() != out.resolve():
+        hetgraph.write_graph(graph, out / "vertices.tsv", out / "edges.tsv",
+                             _comment(cfg, "graph-build"))
     hetgraph.write_metapaths(paths, out / "metapaths.json",
                              cfg.meta("graph-build"))
-    written.append(out / "metapaths.json")
-    counts = {t: len(graph.vertices(t)) for t in ("paper", "topic", "oer")}
     dump_json(out / "graph_stats.json", {"vertices": counts,
                                          "metapaths": len(paths)},
               cfg.meta("graph-build"))
-    written.append(out / "graph_stats.json")
     return f"graph-build: vertices {counts}, {len(paths)} metapaths"
 
 
-def stage_rankfeat(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_rankfeat(cfg: PipelineConfig) -> str:
     corpus = read_corpus(cfg.in_dir)
     out = Path(cfg.out_dir)
     graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
@@ -193,12 +184,11 @@ def stage_rankfeat(cfg: PipelineConfig, written: list[Path]) -> str:
         ],
     }
     dump_json(out / "rankfeat.json", payload, cfg.meta("rankfeat"))
-    written.append(out / "rankfeat.json")
     return (f"rankfeat: {len(queries)} queries x {len(extractor.feature_names)} "
             f"features")
 
 
-def stage_train_ranker(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_train_ranker(cfg: PipelineConfig) -> str:
     out = Path(cfg.out_dir)
     names, queries = _read_rankfeat(out / "rankfeat.json")
     assignment, _ = community_mod.read_communities(out / "communities.tsv")
@@ -206,14 +196,11 @@ def stage_train_ranker(cfg: PipelineConfig, written: list[Path]) -> str:
         queries, assignment, names, cfg.metric, cfg.restarts, cfg.threshold,
         _stage_seed(cfg, "train-ranker"))
     ranker.write_rankerset(rset, out, cfg.meta("train-ranker"))
-    written.append(out / "rankerset.json")
-    written.append(out / "model_global.json")
-    written.extend(out / f"model_c{c}.json" for c in rset.models)
     return (f"train-ranker: global {cfg.metric}={rset.global_model.metric_value:.4f}, "
             f"{len(rset.models)} community models")
 
 
-def stage_recommend(cfg: PipelineConfig, written: list[Path],
+def stage_recommend(cfg: PipelineConfig,
                     paper: str, quote: str, reader: str | None, top: int) -> str:
     out = Path(cfg.out_dir)
     corpus = read_corpus(cfg.in_dir)
@@ -238,7 +225,7 @@ def stage_recommend(cfg: PipelineConfig, written: list[Path],
             f"{len(ranked)} results")
 
 
-def stage_evaluate(cfg: PipelineConfig, written: list[Path], mode: str = "cv") -> str:
+def stage_evaluate(cfg: PipelineConfig, mode: str = "cv") -> str:
     out = Path(cfg.out_dir)
     names, queries = _read_rankfeat(out / "rankfeat.json")
     if mode == "cv":
@@ -259,7 +246,6 @@ def stage_evaluate(cfg: PipelineConfig, written: list[Path], mode: str = "cv") -
     else:
         raise ValueError(f"unknown evaluate mode {mode!r}")
     evaluation.write_report(report, path, cfg.meta(f"evaluate:{mode}"))
-    written.append(path)
     comm = report.means("communitized")["ndcg@3"]
     glob = report.means("global")["ndcg@3"]
     p = report.sign_test_p("ndcg@3")
@@ -277,16 +263,16 @@ PIPELINE_STAGES = ("simulate", "ingest", "featurize", "cluster",
                    "rankfeat", "train-ranker", "evaluate")
 
 
-def stage_pipeline(cfg: PipelineConfig, written: list[Path]) -> str:
+def stage_pipeline(cfg: PipelineConfig) -> str:
     summaries = []
     for stage in PIPELINE_STAGES:
         if stage == "simulate":
-            summaries.append(stage_simulate(cfg, written))
+            summaries.append(stage_simulate(cfg))
             cfg.in_dir = cfg.out_dir  # later stages read the generated corpus
         elif stage == "evaluate":
-            summaries.append(stage_evaluate(cfg, written, "cv"))
+            summaries.append(stage_evaluate(cfg, "cv"))
         else:
-            summaries.append(_STAGES[stage](cfg, written))
+            summaries.append(_STAGES[stage](cfg))
         print(summaries[-1])
     return f"pipeline: {len(PIPELINE_STAGES)} stages complete -> {cfg.out_dir}"
 
@@ -395,32 +381,24 @@ def main(argv: list[str] | None = None) -> int:
         if sim_over:
             cfg.sim = {**cfg.sim, **sim_over}
         cfg.require_seed()
-        cfg.frozen_hash = cfg.config_hash()
         cfg.overrides_echo = {**over, **({"sim": sim_over} if sim_over else {})}
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        # snapshot before the command runs: pipeline repoints in_dir
+        run_config = {"command": args.command, "config": cfg.to_dict()}
 
-        written: list[Path] = []
-        # the full effective config rides along so a run is reconstructible
-        # from its artifacts alone; the read-only recommend leaves it as is
+        if args.command == "recommend":
+            summary = stage_recommend(cfg, args.paper, args.quote,
+                                      args.reader, args.top)
+        elif args.command == "evaluate":
+            summary = stage_evaluate(cfg, args.mode)
+        else:
+            summary = _STAGES[args.command](cfg)
+        # the full effective config of the last successful command rides
+        # along, so a run is reconstructible from its artifacts alone; the
+        # read-only recommend leaves it as is
         if args.command != "recommend":
-            dump_json(Path(cfg.out_dir) / "run_config.json",
-                      {"command": args.command, "config": cfg.to_dict()},
+            dump_json(Path(cfg.out_dir) / "run_config.json", run_config,
                       cfg.meta(args.command))
-            written.append(Path(cfg.out_dir) / "run_config.json")
-        try:
-            if args.command == "recommend":
-                summary = stage_recommend(cfg, written, args.paper, args.quote,
-                                          args.reader, args.top)
-            elif args.command == "evaluate":
-                summary = stage_evaluate(cfg, written, args.mode)
-            else:
-                summary = _STAGES[args.command](cfg, written)
-        except BaseException:
-            # a failed command leaves no partial outputs behind
-            for p in written:
-                if p.exists():
-                    p.unlink()
-            raise
         print(summary)
         return 0
     except Exception as exc:

@@ -42,9 +42,8 @@ class PipelineConfig:
     # simulation (corpus generation)
     sim: dict = field(default_factory=dict)
     seed: int | None = None
-    # run bookkeeping, excluded from the experiment hash
-    frozen_hash: str = ""
-    overrides_echo: dict = field(default_factory=dict)
+    # run bookkeeping, set by the CLI: not a config key, not hashed
+    overrides_echo: dict = field(default_factory=dict, init=False)
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -59,7 +58,7 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         d = {}
         for f in fields(self):
-            if f.name in ("frozen_hash", "overrides_echo"):
+            if not f.init:
                 continue
             v = getattr(self, f.name)
             d[f.name] = list(v) if isinstance(v, tuple) else v
@@ -68,8 +67,6 @@ class PipelineConfig:
     def config_hash(self) -> str:
         """Hash of the experiment parameters; paths identify a run's location,
         not its outcome, so they are excluded."""
-        if self.frozen_hash:
-            return self.frozen_hash
         d = self.to_dict()
         for key in ("in_dir", "out_dir", "metapath_file"):
             d.pop(key, None)
@@ -97,7 +94,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value
-    known = {f.name for f in fields(PipelineConfig)}
+    known = {f.name for f in fields(PipelineConfig) if f.init}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")

@@ -114,21 +114,19 @@ class Corpus:
     def reader_ids(self) -> list[str]:
         return sorted(self.readers)
 
-    def paper_ids(self) -> list[str]:
-        ids = {e.paper_id for e in self.events.values()}
-        ids.update(q.paper_id for q in self.queries.values())
-        return sorted(ids)
-
-    def reply_pairs(self) -> set[frozenset[str]]:
-        """Unordered reader pairs that exchanged at least one reply."""
-        pairs: set[frozenset[str]] = set()
+    def reply_exchanges(self) -> Iterator[tuple[str, str]]:
+        """(replier, replied-to reader) for every reply, in event order, whose
+        target exists and belongs to a different reader."""
         for e in self.events.values():
             if e.kind is not EventKind.REPLY or e.target_event_id is None:
                 continue
             target = self.events.get(e.target_event_id)
             if target is not None and target.reader_id != e.reader_id:
-                pairs.add(frozenset((e.reader_id, target.reader_id)))
-        return pairs
+                yield e.reader_id, target.reader_id
+
+    def reply_pairs(self) -> set[frozenset[str]]:
+        """Unordered reader pairs that exchanged at least one reply."""
+        return {frozenset(x) for x in self.reply_exchanges()}
 
 
 @dataclass(frozen=True)
@@ -441,8 +439,8 @@ def serialize_judgments(corpus: Corpus) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def write_corpus(corpus: Corpus, out_dir) -> dict[str, str]:
-    """Write the four stream files; returns name -> path."""
+def write_corpus(corpus: Corpus, out_dir) -> None:
+    """Write the four stream files."""
     from .util import atomic_write_text
     from pathlib import Path
 
@@ -453,11 +451,8 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, str]:
         "oers.jsonl": serialize_oers(corpus),
         "judgments.tsv": serialize_judgments(corpus),
     }
-    paths = {}
     for name, text in files.items():
         atomic_write_text(out / name, text)
-        paths[name] = str(out / name)
-    return paths
 
 
 def read_corpus(in_dir) -> Corpus:

@@ -137,6 +137,13 @@ class FeatureMatrix:
             raise KeyError(f"unknown feature group {name!r}; have {sorted(self.groups)}")
         return self.groups[name]
 
+    def reply_pairs(self) -> set[frozenset[str]]:
+        """Reader pairs with a nonzero ReplyRelation cell: the `reply_pairs()`
+        of the corpus these features were extracted from."""
+        rows, cols = np.nonzero(np.triu(self.group("ReplyRelation").matrix, 1))
+        return {frozenset((self.reader_ids[i], self.reader_ids[j]))
+                for i, j in zip(rows, cols)}
+
     def subset_readers(self, reader_ids) -> "FeatureMatrix":
         keep = sorted(reader_ids)
         idx = [self._row[r] for r in keep]
@@ -257,13 +264,8 @@ def extract_rbf(
 
     # Undirected reply-exchange counts, hence a symmetric block.
     A = np.zeros((len(readers), len(readers)))
-    for event in corpus.events.values():
-        if event.kind is not EventKind.REPLY:
-            continue
-        target = corpus.events.get(event.target_event_id or "")
-        if target is None or target.reader_id == event.reader_id:
-            continue
-        i, j = ridx[event.reader_id], ridx[target.reader_id]
+    for replier, replied_to in corpus.reply_exchanges():
+        i, j = ridx[replier], ridx[replied_to]
         A[i, j] += 1.0
         A[j, i] += 1.0
     groups["ReplyRelation"] = FeatureGroup("ReplyRelation", readers, A)

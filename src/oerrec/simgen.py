@@ -374,13 +374,8 @@ def generate(config: SimConfig) -> SimResult:
     return SimResult(gen.corpus, dict(gen.latent), graph)
 
 
-def generate_corpus(config: SimConfig) -> tuple[Corpus, dict[str, int]]:
-    result = generate(config)
-    return result.corpus, result.latent
-
-
 def write_simulation(config: SimConfig, result: SimResult, out_dir,
-                     comment: str | None = None) -> dict[str, str]:
+                     comment: str | None = None) -> None:
     """Corpus streams, graph files, default meta-paths, latent labels and a
     config echo for `result = generate(config)`, all under out_dir.
 
@@ -388,7 +383,7 @@ def write_simulation(config: SimConfig, result: SimResult, out_dir,
     provenance for them lives in sim_config.json.
     """
     out = Path(out_dir)
-    paths = write_corpus(result.corpus, out)
+    write_corpus(result.corpus, out)
 
     latent_lines = ["# reader_id\tcommunity"]
     if comment:
@@ -399,10 +394,6 @@ def write_simulation(config: SimConfig, result: SimResult, out_dir,
     write_metapaths(default_metapaths(), out / "metapaths.json")
     dump_json(out / "sim_config.json", config.to_dict(),
               meta={"config_hash": stable_hash(config.to_dict()), "seed": config.seed})
-    for name in ("latent.tsv", "vertices.tsv", "edges.tsv",
-                 "metapaths.json", "sim_config.json"):
-        paths[name] = str(out / name)
-    return paths
 
 
 def read_latent(path) -> dict[str, int]:

@@ -1,6 +1,7 @@
 """Command-line driver: stage wiring, reproducibility, and error handling."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -15,6 +16,10 @@ PIPELINE_ARGS = ["--seed", "3", "--readers", "15", "--folds", "3", "--restarts",
 
 def run_cli(argv):
     return main([str(a) for a in argv])
+
+
+def snapshot(d):
+    return {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +61,51 @@ class TestErrors:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"seed": 1, "bogus": 2}')
-        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        # run bookkeeping is set by the CLI, never by a config file
+        for extra in ({"bogus": 2}, {"frozen_hash": "forged"},
+                      {"overrides_echo": {"k": 1}}):
+            cfg.write_text(json.dumps({"seed": 1, **extra}))
+            assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 1
+            assert "unknown config keys" in capsys.readouterr().err
+
+
+class TestFailureKeepsEarlierRun:
+    @pytest.fixture
+    def run(self, pipeline_dir, tmp_path):
+        d = tmp_path / "run"
+        shutil.copytree(pipeline_dir, d)
+        return d
+
+    @pytest.mark.parametrize("argv", [["cluster", "--k", "999"],
+                                      ["train-ranker", "--metric", "bogus"]])
+    def test_failed_stage_leaves_run_untouched(self, run, capsys, argv):
+        before = snapshot(run)
+        assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert snapshot(run) == before
+
+    def test_inconsistent_corpus_keeps_validation_only(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["simulate", "--out", a, "--seed", "4", "--readers", "6"]) == 0
+        lines = (a / "events.jsonl").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if '"kind":"reply"' in line)
+        event = json.loads(lines[i])
+        event["target"] = "gone"
+        lines[i] = json.dumps(event)
+        (a / "events.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["ingest", "--in", a, "--out", b, "--seed", "4"]) == 1
+        assert "corpus inconsistent" in capsys.readouterr().err
+        assert sorted(p.name for p in b.iterdir()) == ["validation.json"]
+        validation = load_json(b / "validation.json")
+        assert validation["consistent"] is False
+        assert [i["kind"] for i in validation["issues"]] == ["dangling-reply"]
+
+    def test_cluster_reads_only_features(self, run, tmp_path, monkeypatch, capsys):
+        expected = load_json(run / "cluster_eval.json")["reply_pair_eval"]
+        monkeypatch.chdir(tmp_path)  # no corpus in the default --in
+        assert run_cli(["cluster", "--out", run, "--seed", "3"]) == 0
+        assert load_json(run / "cluster_eval.json")["reply_pair_eval"] == expected
 
 
 class TestStages:

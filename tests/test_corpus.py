@@ -111,9 +111,6 @@ class TestCorpusAccessors:
         corpus = parse_corpus([json.dumps(quote), json.dumps(reply)])
         assert corpus.reply_pairs() == set()
 
-    def test_paper_ids_cover_events_and_queries(self, toy_corpus):
-        assert toy_corpus.paper_ids() == ["p1", "p2"]
-
 
 class TestValidate:
     def test_consistent_corpus_has_no_issues(self, toy_corpus):

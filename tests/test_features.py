@@ -1,11 +1,12 @@
 """Feature extraction: location clusters, TF groups, ratings, replies."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from oerrec.corpus import parse_corpus
+from oerrec.corpus import EventKind, parse_corpus
 from oerrec.features import (
     GROUP_ORDER,
     RBF_GROUPS,
@@ -19,6 +20,7 @@ from oerrec.features import (
     features_to_dict,
     location_point,
 )
+from oerrec.simgen import SimConfig, generate
 from oracles import oracle_kmedoids_best
 
 
@@ -217,6 +219,27 @@ class TestExtractFeatures:
             assert np.array_equal(
                 sub.group(name).matrix, fm.group(name).matrix[[0, 2]]
             )
+
+
+class TestReplyRelation:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_upper_triangle_equals_corpus_reply_pairs(self, seed):
+        corpus = generate(SimConfig(n_readers=12, n_communities=3,
+                                    events_per_reader=4.0,
+                                    queries_per_reader=1.0, seed=seed)).corpus
+        # a self-reply and a dangling reply count in neither
+        first = next(iter(corpus.events.values()))
+        for event_id, target in (("x-self", first.event_id), ("x-dangling", "gone")):
+            corpus.events[event_id] = dataclasses.replace(
+                first, event_id=event_id, kind=EventKind.REPLY,
+                target_event_id=target, oer_id=None, grade=None)
+        fm = extract_features(corpus, k_loc=2, seed=0)
+        rows, cols = np.nonzero(np.triu(fm.group("ReplyRelation").matrix, 1))
+        cells = {frozenset((fm.reader_ids[i], fm.reader_ids[j]))
+                 for i, j in zip(rows, cols)}
+        assert cells and cells == corpus.reply_pairs()
+        # what the cluster stage reads back from features.json
+        assert features_from_dict(features_to_dict(fm)).reply_pairs() == cells
 
 
 def two_group_matrix():

@@ -1,7 +1,6 @@
 """Synthetic corpus generator: determinism, planted structure, artifacts."""
 
 import itertools
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,6 @@ from oerrec.community import cluster_readers, pairwise_cluster_eval
 from oerrec.simgen import (
     SimConfig,
     generate,
-    generate_corpus,
     read_latent,
     write_simulation,
 )
@@ -102,9 +100,9 @@ class TestGeneratedStructure:
         assert report.consistent, [i.message for i in report.issues]
 
     def test_all_readers_have_profiles(self):
-        corpus, latent = generate_corpus(SMALL)
-        assert set(corpus.readers) == set(latent)
-        assert all(p.has_rpf for p in corpus.readers.values())
+        result = generate(SMALL)
+        assert set(result.corpus.readers) == set(result.latent)
+        assert all(p.has_rpf for p in result.corpus.readers.values())
 
     def test_oer_counts_match_config(self):
         result = generate(SMALL)
@@ -163,13 +161,10 @@ class TestSeparationAtAlphaOne:
 
 class TestArtifacts:
     def test_write_simulation_emits_all_files(self, tmp_path):
-        paths = write_simulation(SMALL, generate(SMALL), tmp_path, comment="run 1")
+        write_simulation(SMALL, generate(SMALL), tmp_path, comment="run 1")
         expected = {"readers.jsonl", "events.jsonl", "oers.jsonl",
                     "judgments.tsv", "latent.tsv", "vertices.tsv",
                     "edges.tsv", "metapaths.json", "sim_config.json"}
-        assert expected <= set(paths)
-        for p in paths.values():
-            assert Path(p).is_file()
         names = {p.name for p in tmp_path.iterdir()}
         assert expected <= names
 
