@@ -20,7 +20,7 @@ import numpy as np
 from . import community as community_mod
 from . import evaluation, features, hetgraph, maxent, ranker, simgen
 from .config import PipelineConfig, load_config
-from .corpus import read_corpus, validate_corpus, write_corpus
+from .corpus import read_corpus, read_oers, validate_corpus, write_corpus
 from .rankfeatures import QueryFeatures, RankFeatureExtractor, build_query_features
 from .util import dump_json, fork_seed, load_json
 
@@ -203,7 +203,7 @@ def stage_train_ranker(cfg: PipelineConfig) -> str:
 def stage_recommend(cfg: PipelineConfig,
                     paper: str, quote: str, reader: str | None, top: int) -> str:
     out = Path(cfg.out_dir)
-    corpus = read_corpus(cfg.in_dir)
+    oers = read_oers(cfg.in_dir)
     graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
     paths = hetgraph.read_metapaths(out / "metapaths.json")
     try:
@@ -216,11 +216,11 @@ def stage_recommend(cfg: PipelineConfig,
         community = assignment.get(reader)
     model = rset.resolve(community)
 
-    extractor = RankFeatureExtractor(graph, paths, corpus.oers, cfg.mu, cfg.k1, cfg.b)
-    vectors = extractor.extract(paper, quote, sorted(corpus.oers))
+    extractor = RankFeatureExtractor(graph, paths, oers, cfg.mu, cfg.k1, cfg.b)
+    vectors = extractor.extract(paper, quote, sorted(oers))
     ranked = ranker.rank(model, vectors)[:top]
     for i, (oer_id, score) in enumerate(ranked, start=1):
-        print(f"{i}\t{oer_id}\t{score:.6f}\t{corpus.oers[oer_id].oer_type.value}")
+        print(f"{i}\t{oer_id}\t{score:.6f}\t{oers[oer_id].oer_type.value}")
     return (f"recommend: model={model.community}, paper={paper}, "
             f"{len(ranked)} results")
 

@@ -221,6 +221,14 @@ def _parse_grade(raw, stream_name: str, line_no: int) -> Grade:
 
 def _parse_event(obj: dict, stream_name: str, line_no: int) -> ReadingEvent:
     event_id = _require(obj, "event", stream_name, line_no)
+    reader_id = _require(obj, "reader", stream_name, line_no)
+    paper_id = _require(obj, "paper", stream_name, line_no)
+    quote = obj.get("quote_text", "")
+    content = obj.get("content_text", "")
+    for name, value in (("event", event_id), ("reader", reader_id), ("paper", paper_id),
+                        ("quote_text", quote), ("content_text", content)):
+        if not isinstance(value, str):
+            raise CorpusFormatError(stream_name, line_no, f"{name} must be a string")
     kind_raw = _require(obj, "kind", stream_name, line_no)
     try:
         kind = EventKind(kind_raw)
@@ -233,29 +241,35 @@ def _parse_event(obj: dict, stream_name: str, line_no: int) -> ReadingEvent:
     target = obj.get("target")
     oer = obj.get("oer")
     grade_raw = obj.get("grade")
+    if not (target is None or isinstance(target, str)):
+        raise CorpusFormatError(stream_name, line_no, "target must be a string")
+    if not (oer is None or isinstance(oer, str)):
+        raise CorpusFormatError(stream_name, line_no, "oer must be a string")
+    timestamp = obj.get("ts", 0)
+    if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+        raise CorpusFormatError(stream_name, line_no, "ts must be an integer")
     if (target is not None) != (kind is EventKind.REPLY):
         raise CorpusFormatError(stream_name, line_no, "target must be set iff kind is reply")
     if (oer is not None) != (kind is EventKind.RATING):
         raise CorpusFormatError(stream_name, line_no, "oer must be set iff kind is rating")
     if (grade_raw is not None) != (kind is EventKind.RATING):
         raise CorpusFormatError(stream_name, line_no, "grade must be set iff kind is rating")
-    content = obj.get("content_text", "")
     if content and kind in (EventKind.QUOTE, EventKind.RATING):
         raise CorpusFormatError(stream_name, line_no, f"{kind.value} events carry no content_text")
     _warn_extra_keys(obj, _EVENT_KEYS, stream_name, line_no)
     return ReadingEvent(
         event_id=event_id,
         kind=kind,
-        reader_id=_require(obj, "reader", stream_name, line_no),
-        paper_id=_require(obj, "paper", stream_name, line_no),
+        reader_id=reader_id,
+        paper_id=paper_id,
         page=page,
         bbox=bbox,
-        quote_text=obj.get("quote_text", ""),
+        quote_text=quote,
         content_text=content,
         target_event_id=target,
         oer_id=oer,
         grade=_parse_grade(grade_raw, stream_name, line_no) if grade_raw is not None else None,
-        timestamp=obj.get("ts", 0),
+        timestamp=timestamp,
     )
 
 
@@ -455,24 +469,28 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
         atomic_write_text(out / name, text)
 
 
-def read_corpus(in_dir) -> Corpus:
-    """Parse a corpus directory; a missing readers.jsonl means RBF-only readers."""
+def _stream_lines(in_dir, name: str, required: bool = False) -> list[str] | None:
     from pathlib import Path
 
-    in_dir = Path(in_dir)
+    path = Path(in_dir) / name
+    if not path.exists():
+        if required:
+            raise FileNotFoundError(f"{path} not found")
+        return None
+    return path.read_text(encoding="utf-8").splitlines()
 
-    def maybe_lines(name: str) -> list[str] | None:
-        path = in_dir / name
-        if not path.exists():
-            return None
-        return path.read_text(encoding="utf-8").splitlines()
 
-    events = maybe_lines("events.jsonl")
-    if events is None:
-        raise FileNotFoundError(f"{in_dir / 'events.jsonl'} not found")
+def read_corpus(in_dir) -> Corpus:
+    """Parse a corpus directory; a missing readers.jsonl means RBF-only readers."""
+    events = _stream_lines(in_dir, "events.jsonl", required=True)
     return parse_corpus(
         events,
-        maybe_lines("readers.jsonl"),
-        maybe_lines("oers.jsonl"),
-        maybe_lines("judgments.tsv"),
+        _stream_lines(in_dir, "readers.jsonl"),
+        _stream_lines(in_dir, "oers.jsonl"),
+        _stream_lines(in_dir, "judgments.tsv"),
     )
+
+
+def read_oers(in_dir) -> dict[str, OerItem]:
+    """The OERs of a corpus directory, parsing oers.jsonl alone."""
+    return parse_corpus(None, oer_stream=_stream_lines(in_dir, "oers.jsonl", required=True)).oers

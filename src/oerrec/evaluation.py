@@ -188,8 +188,9 @@ def cross_validate_ranking(
         kernel = RankingKernel([q.gains for q in scored], [q.candidates for q in scored])
         scores = np.zeros((2,) + kernel.gains.shape)
         for qi, q in enumerate(scored):
-            scores[0, qi, :len(q.candidates)] = rset.resolve(assignment[q.reader_id]).score(q.X)
-            scores[1, qi, :len(q.candidates)] = rset.global_model.score(q.X)
+            cols, n = kernel.columns[qi], len(q.candidates)
+            scores[0, qi, :n] = rset.resolve(assignment[q.reader_id]).score(q.X)[cols]
+            scores[1, qi, :n] = rset.global_model.score(q.X)[cols]
         values = {m: v.tolist() for m, v in kernel(scores, METRIC_NAMES).items()}
         for si, system in enumerate(("communitized", "global")):
             for qi, q in enumerate(scored):

@@ -3,11 +3,12 @@ test for system comparisons.
 
 `RankingKernel` is the one implementation of the ranking metrics: scores
 shaped (..., Q, C) over Q padded lists of at most C candidates are ordered
-by `rank_order` (descending score, ties by ascending oer_id) and scored per
-query. Training, cross-validation and inference all use it; the scalar
-functions are one-row calls into it. Positions are summed left to right up
-to column min(k, C), so padding, which sorts last with gain 0, leaves every
-value bit-identical to its one-row value.
+by `rank_order` and scored per query. Each row holds its candidates in
+ascending oer_id order (`id_order`), so a stable sort on descending score
+breaks ties by ascending oer_id. Training, cross-validation and inference
+all use it; the scalar functions are one-row calls into it. Positions are
+summed left to right up to column min(k, C), so padding, which sorts last
+with gain 0, leaves every value bit-identical to its one-row value.
 
 Grades are the linear gains 2 (Good), 1 (OK), 0 (Bad); NotSure judgments
 are removed before lists reach this module. Relevance for MAP/MRR is
@@ -45,41 +46,43 @@ def _check_k(k: int) -> int:
     return k
 
 
-def tie_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Position of each id in ascending id order: the tie-break rank."""
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
+def id_order(ids: Sequence[str]) -> list[int]:
+    """Indices of `ids` in ascending id order: the column layout of a kernel
+    row, so that column position is the tie-break rank."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
-def rank_order(scores: np.ndarray, tie: np.ndarray,
-               pad: np.ndarray | None = None) -> np.ndarray:
-    """Candidate indices in ranked order along the last axis: descending
-    score, equal scores by ascending tie rank, padding last."""
-    if pad is not None:
-        scores = np.where(pad, -np.inf, scores)
-    return np.lexsort((np.broadcast_to(tie, scores.shape), -scores), axis=-1)
+def rank_order(scores: np.ndarray, pad_inf: np.ndarray | float = 0.0) -> np.ndarray:
+    """Column indices in ranked order along the last axis, for candidates
+    laid out in ascending oer_id order: descending score, equal scores by
+    ascending oer_id, padding (+inf in `pad_inf`, 0 elsewhere) last.
+
+    The sort must be stable: position is the tie-break.
+    """
+    return np.argsort(pad_inf - scores, axis=-1, kind="stable")
 
 
 class RankingKernel:
     """Padded graded lists scored in batches.
 
     gain_lists[q] holds query q's candidate gains and id_lists[q] their
-    oer_ids for the tie-break; without id_lists, ties keep list order.
+    oer_ids; row q lays them out in the order `columns[q]` (ascending
+    oer_id), so candidate `columns[q][c]` sits in column c. Without
+    id_lists, rows keep list order and ties keep it too.
     """
 
     def __init__(self, gain_lists: Sequence[Sequence[int]],
                  id_lists: Sequence[Sequence[str]] | None = None):
         Q = len(gain_lists)
         C = max([len(g) for g in gain_lists] + [1])
+        self.columns = [list(range(len(g))) if id_lists is None else id_order(id_lists[qi])
+                        for qi, g in enumerate(gain_lists)]
         self.gains = np.zeros((Q, C))
-        self.pad = np.ones((Q, C), dtype=bool)
-        self.tie = np.full((Q, C), C, dtype=np.int64)
+        self.pad_inf = np.full((Q, C), np.inf)
         for qi, g in enumerate(gain_lists):
             n = len(g)
-            self.gains[qi, :n] = g
-            self.pad[qi, :n] = False
-            self.tie[qi, :n] = np.arange(n) if id_lists is None else tie_ranks(id_lists[qi])
+            self.gains[qi, :n] = np.asarray(g, dtype=np.float64)[self.columns[qi]]
+            self.pad_inf[qi, :n] = 0.0
         self.ranks = np.arange(1.0, C + 1.0)
         self.discounts = 1.0 / np.log2(self.ranks + 1.0)
         ideal = np.cumsum(-np.sort(-self.gains, axis=-1) * self.discounts, axis=-1)
@@ -87,9 +90,30 @@ class RankingKernel:
         relevant = (self.gains >= RELEVANCE_THRESHOLD).sum(axis=-1)
         self.total_relevant = np.maximum(relevant, 1)  # nothing relevant: AP 0/1
 
-    def ranked_gains(self, scores: np.ndarray) -> np.ndarray:
-        order = rank_order(scores, self.tie, self.pad)
-        return np.take_along_axis(np.broadcast_to(self.gains, order.shape), order, axis=-1)
+    def rows(self, index: np.ndarray) -> "RankingKernel":
+        """The kernel over rows `index` (integer indices) at the same width
+        C, so each row scores bit for bit as it does in the full kernel.
+        Its rows come laid out, so it has no `columns`."""
+        sub = object.__new__(RankingKernel)
+        sub.ranks, sub.discounts = self.ranks, self.discounts
+        for name in ("gains", "pad_inf", "ideal_dcg", "total_relevant"):
+            setattr(sub, name, getattr(self, name).take(index, axis=0))
+        return sub
+
+    def width(self, kind: str, k: int | None) -> int:
+        """Ranked columns a metric reads: min(k, C) for nDCG@k and MAP@k,
+        all C for MRR and @all."""
+        C = self.ranks.size
+        return C if kind == "mrr" or k is None else min(k, C)
+
+    def ranked_gains(self, scores: np.ndarray, width: int | None = None) -> np.ndarray:
+        """Gains in ranked order for scores (..., Q, C), the first `width`
+        ranked columns only when given."""
+        order = rank_order(scores, self.pad_inf)[..., :width]
+        Q, C = self.gains.shape
+        # flat indices into gains: a plain take, several times faster than
+        # take_along_axis on these short rows
+        return self.gains.take(order + np.arange(0, Q * C, C)[:, None])
 
     def dcg(self, g: np.ndarray, col: int) -> np.ndarray:
         """DCG of the first `col` ranked gains, summed left to right one
@@ -101,8 +125,9 @@ class RankingKernel:
         return total
 
     def metric(self, g: np.ndarray, kind: str, k: int | None) -> np.ndarray:
-        """Per-query values, shaped (..., Q), of one metric over ranked gains."""
-        col = self.ranks.size if k is None else min(k, self.ranks.size)
+        """Per-query values, shaped (..., Q), of one metric over ranked gains
+        at least `width(kind, k)` columns wide."""
+        col = self.width(kind, k)
         if kind == "ndcg":
             return self.dcg(g, col) / self.ideal_dcg[:, col - 1]
         rel = g >= RELEVANCE_THRESHOLD

@@ -2,10 +2,13 @@
 (default nDCG@3), one model per community plus a global fallback.
 
 Training evaluates the mean metric over every query at once: scores live in
-a padded (queries, max_candidates) array, candidate weight values for one
-coordinate are batched along a leading axis, and `metrics.RankingKernel`
-ranks and scores the whole batch (descending score, ascending oer_id as the
-tie-break). Inference orders candidates with the same `rank_order`.
+a padded (queries, max_candidates) array laid out in ascending oer_id order,
+candidate weight values for one coordinate are batched along a leading
+axis, and `metrics.RankingKernel` ranks and scores the batch (descending
+score, ascending oer_id as the tie-break). Only the queries whose feature
+column for the coordinate is not all zero are re-ranked; the others keep
+their metric values. Inference orders candidates with the same
+`rank_order`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import RankingKernel, parse_metric, rank_order, tie_ranks
+from .metrics import RankingKernel, id_order, parse_metric, rank_order
 from .rankfeatures import QueryFeatures, RankFeatureVector
 from .util import dump_json, fork_seed, load_json, rng_for
 
@@ -113,11 +116,17 @@ def coordinate_ascent_train(
     d = len(feature_names)
     X = np.zeros(kernel.gains.shape + (d,))  # normalized features, zero padding
     for qi, q in enumerate(trainable):
-        X[qi, :len(q.candidates)] = norm.apply(q.X)
+        X[qi, :len(q.candidates)] = norm.apply(q.X)[kernel.columns[qi]]
+    width = kernel.width(kind, k)
 
-    def mean_metric(scores: np.ndarray) -> np.ndarray:
-        """Mean over queries of the training metric, for scores (..., Q, C)."""
-        return kernel.metric(kernel.ranked_gains(scores), kind, k).mean(axis=-1)
+    def per_query(kern: RankingKernel, scores: np.ndarray) -> np.ndarray:
+        """Training metric per query, shaped (..., Q), for scores (..., Q, C)."""
+        return kern.metric(kern.ranked_gains(scores, width), kind, k)
+
+    # Moving coordinate j changes a query's scores by (v - w_j) * X[q, :, j],
+    # which is exactly zero only when the column is; a constant nonzero
+    # column can still reorder near-ties through rounding.
+    movable = [np.flatnonzero((X[:, :, j] != 0.0).any(axis=-1)) for j in range(d)]
 
     best: tuple[float, int, np.ndarray, list[float]] | None = None
     for r in range(restarts):
@@ -126,7 +135,8 @@ def coordinate_ascent_train(
         else:
             w = rng_for(seed, f"restart:{r}").uniform(-1.0, 1.0, d)
         scores = X @ w
-        current = float(mean_metric(scores))
+        query_values = per_query(kernel, scores)
+        current = float(query_values.mean(axis=-1))
         trace = [current]
         for _ in range(MAX_SWEEPS):
             sweep_gain = 0.0
@@ -135,13 +145,24 @@ def coordinate_ascent_train(
                 values = np.array(
                     [m * base for m in STEP_GRID]
                     + [-m * base for m in STEP_GRID] + [0.0])
-                batch = scores[None] + (values - w[j])[:, None, None] * X[:, :, j][None]
-                metrics = mean_metric(batch)
+                steps = values - w[j]
+                # every query's value at every candidate weight; only the
+                # movable rows are re-ranked, and the mean runs over all
+                # queries in order, so each sum adds the same terms. The
+                # rows are gathered per step: a copy kept per coordinate
+                # raised peak memory by about 1 MB.
+                rows = movable[j]
+                batch = (scores.take(rows, axis=0)[None]
+                         + steps[:, None, None] * X[:, :, j].take(rows, axis=0)[None])
+                batch_values = np.tile(query_values, (values.size, 1))
+                batch_values[:, rows] = per_query(kernel.rows(rows), batch)
+                metrics = batch_values.mean(axis=-1)
                 bi = int(np.argmax(metrics))
                 gain = float(metrics[bi]) - current
                 if gain > 0.0:
                     w[j] = values[bi]
-                    scores = batch[bi]
+                    scores = scores + steps[bi] * X[:, :, j]
+                    query_values = batch_values[bi]
                     current = float(metrics[bi])
                     trace.append(current)
                     sweep_gain = max(sweep_gain, gain)
@@ -170,13 +191,14 @@ def rank(model: RankingModel, vectors: list[RankFeatureVector]) -> list[tuple[st
         return []
     ids = [v.oer_id for v in vectors]
     scores = model.score(np.stack([v.values for v in vectors]))
-    return [(ids[i], float(scores[i])) for i in rank_order(scores, tie_ranks(ids))]
+    cols = id_order(ids)
+    return [(ids[cols[i]], float(scores[cols[i]])) for i in rank_order(scores[cols])]
 
 
 def rank_query(model: RankingModel, q: QueryFeatures) -> list[int]:
     """Gains of the query's candidates in the model's ranked order."""
-    order = rank_order(model.score(q.X), tie_ranks(q.candidates))
-    return [int(q.gains[i]) for i in order]
+    cols = id_order(q.candidates)
+    return [int(q.gains[cols[i]]) for i in rank_order(model.score(q.X)[cols])]
 
 
 # -- per-community training --------------------------------------------------

@@ -169,6 +169,43 @@ class TestStages:
         ]) == 0
         assert (pipeline_dir / "run_config.json").read_bytes() == before
 
+    # (reader, paper, quote) -> ranked rows, as printed before recommend
+    # stopped parsing the whole corpus; tied scores list by ascending oer_id
+    RECOMMENDED = {
+        ("r000", "p00", "topic00 topic01"): [
+            "1\tvideo01\t0.288861\tvideo", "2\tvideo00\t0.257004\tvideo",
+            "3\twiki00\t0.253359\twiki", "4\twiki01\t0.224975\twiki",
+            "5\tvideo02\t0.132495\tvideo"],
+        ("r003", "p01", "topic02"): [
+            "1\tvideo02\t0.264331\tvideo", "2\twiki02\t0.232302\twiki",
+            "3\tvideo00\t0.139822\tvideo", "4\tvideo01\t0.139822\tvideo",
+            "5\tvideo03\t0.139822\tvideo"],
+        ("r007", "p02", "topic03 topic05"): [
+            "1\twiki05\t0.226241\twiki", "2\tcode00\t0.214414\tcode",
+            "3\tcode01\t0.214414\tcode", "4\tcode02\t0.214414\tcode",
+            "5\tcode03\t0.214414\tcode"],
+        ("r011", "p03", "topic04"): [
+            "1\tslides00\t0.446194\tslides", "2\tslides01\t0.446194\tslides",
+            "3\tslides02\t0.262467\tslides", "4\tslides03\t0.262467\tslides",
+            "5\tslides04\t0.262467\tslides"],
+        ("r014", "p05", "topic06 topic07"): [
+            "1\tslides04\t0.446194\tslides", "2\tslides05\t0.446194\tslides",
+            "3\tslides00\t0.288714\tslides", "4\tslides01\t0.288714\tslides",
+            "5\tslides02\t0.262467\tslides"],
+    }
+
+    def test_recommend_parses_only_the_oers(self, pipeline_dir, capsys, monkeypatch):
+        def refuse(in_dir):
+            raise AssertionError("recommend parsed the whole corpus")
+
+        monkeypatch.setattr("oerrec.cli.read_corpus", refuse)
+        for (reader, paper, quote), rows in self.RECOMMENDED.items():
+            assert run_cli([
+                "recommend", "--in", pipeline_dir, "--out", pipeline_dir,
+                "--seed", "3", "--paper", paper, "--quote", quote, "--reader", reader,
+            ]) == 0
+            assert capsys.readouterr().out.splitlines()[:-1] == rows
+
     def test_evaluate_missing_rpf_mode(self, pipeline_dir, capsys):
         assert run_cli([
             "evaluate", "--in", pipeline_dir, "--out", pipeline_dir,

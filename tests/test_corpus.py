@@ -12,6 +12,7 @@ from oerrec.corpus import (
     Grade,
     parse_corpus,
     read_corpus,
+    read_oers,
     serialize_events,
     serialize_judgments,
     serialize_oers,
@@ -174,6 +175,19 @@ class TestRoundTrip:
         with pytest.raises(FileNotFoundError):
             read_corpus(tmp_path)
 
+    def test_read_oers_parses_the_oer_stream_alone(self, toy_corpus, tmp_path):
+        write_corpus(toy_corpus, tmp_path)
+        (tmp_path / "events.jsonl").write_text("not json\n")
+        assert read_oers(tmp_path) == toy_corpus.oers
+        lines = (tmp_path / "oers.jsonl").read_text().splitlines()
+        lines[1] = lines[1].replace('"slides"', '"podcast"')
+        (tmp_path / "oers.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"^oers.jsonl:2: OER type 'podcast'"):
+            read_oers(tmp_path)
+        (tmp_path / "oers.jsonl").unlink()
+        with pytest.raises(FileNotFoundError):
+            read_oers(tmp_path)
+
     def test_read_corpus_tolerates_missing_readers_file(self, toy_corpus, tmp_path):
         write_corpus(toy_corpus, tmp_path)
         (tmp_path / "readers.jsonl").unlink()
@@ -232,6 +246,58 @@ def test_round_trip_property(streams):
         serialize_judgments(corpus).splitlines(),
     )
     assert again == corpus
+
+
+VALID_EVENT = {"event": "e1", "kind": "quote", "reader": "r1", "paper": "p1",
+               "page": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "quote_text": "q",
+               "content_text": "", "target": None, "oer": None, "grade": None,
+               "ts": 0}
+ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                     st.sampled_from(["", "e1", "r1", "reply", "rating", "Good"]),
+                     st.lists(st.integers(0, 1), max_size=4), st.dictionaries(st.just("k"), st.integers()))
+
+
+@st.composite
+def event_lines(draw):
+    """A valid event with some fields replaced by values of any JSON type,
+    and some dropped."""
+    obj = dict(VALID_EVENT)
+    for key in draw(st.sets(st.sampled_from(sorted(VALID_EVENT)))):
+        if draw(st.booleans()):
+            obj[key] = draw(ANY_JSON)
+        else:
+            del obj[key]
+    return json.dumps(obj)
+
+
+@given(st.integers(0, 3), event_lines())
+def test_any_event_line_parses_or_names_its_line(n_before, line):
+    before = [json.dumps({**VALID_EVENT, "event": f"ok{i}"}) for i in range(n_before)]
+    try:
+        corpus = parse_corpus(before + [line])
+    except CorpusFormatError as exc:
+        assert exc.line_no == n_before + 1
+        assert str(exc).startswith(f"events.jsonl:{n_before + 1}: ")
+        return
+    for e in corpus.events.values():
+        for text in (e.event_id, e.reader_id, e.paper_id, e.quote_text, e.content_text):
+            assert isinstance(text, str)
+        assert e.target_event_id is None or isinstance(e.target_event_id, str)
+        assert e.oer_id is None or isinstance(e.oer_id, str)
+        assert isinstance(e.timestamp, int) and not isinstance(e.timestamp, bool)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("reader", 5, "reader must be a string"),
+    ("ts", "late", "ts must be an integer"),
+    ("ts", True, "ts must be an integer"),
+    ("event", ["e1"], "event must be a string"),
+    ("quote_text", 3, "quote_text must be a string"),
+])
+def test_event_field_types_checked_at_parse_time(field, value, message):
+    line = json.dumps({**VALID_EVENT, field: value})
+    with pytest.raises(CorpusFormatError, match=f"^events.jsonl:2: {message}$"):
+        parse_corpus(["", line])
 
 
 @given(st.sampled_from(list(Grade)))

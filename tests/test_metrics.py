@@ -107,7 +107,7 @@ class TestRankingKernel:
         kernel = RankingKernel(gain_lists, id_lists)
         scores = np.full(kernel.gains.shape, 99.0)  # padding must sort last anyway
         for qi, row in enumerate(rows):
-            scores[qi, :len(row)] = [s for _, s in row]
+            scores[qi, :len(row)] = [row[c][1] for c in kernel.columns[qi]]
         values = kernel(scores, KERNEL_SPECS)
         for qi, row in enumerate(rows):
             order = sorted(range(len(row)), key=lambda j: (-row[j][1], id_lists[qi][j]))
