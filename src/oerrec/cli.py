@@ -20,7 +20,7 @@ import numpy as np
 from . import community as community_mod
 from . import evaluation, features, hetgraph, maxent, ranker, simgen
 from .config import PipelineConfig, load_config
-from .corpus import read_corpus, read_oers, validate_corpus, write_corpus
+from .corpus import read_corpus, read_streams, validate_corpus, write_corpus
 from .rankfeatures import QueryFeatures, RankFeatureExtractor, build_query_features
 from .util import dump_json, fork_seed, load_json
 
@@ -167,7 +167,7 @@ def stage_graph_build(cfg: PipelineConfig) -> str:
 
 
 def stage_rankfeat(cfg: PipelineConfig) -> str:
-    corpus = read_corpus(cfg.in_dir)
+    corpus = read_streams(cfg.in_dir, "oers.jsonl", "judgments.tsv")
     out = Path(cfg.out_dir)
     graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
     paths = hetgraph.read_metapaths(out / "metapaths.json")
@@ -202,8 +202,10 @@ def stage_train_ranker(cfg: PipelineConfig) -> str:
 
 def stage_recommend(cfg: PipelineConfig,
                     paper: str, quote: str, reader: str | None, top: int) -> str:
+    if top < 1:
+        raise ValueError(f"--top must be at least 1, got {top}")
     out = Path(cfg.out_dir)
-    oers = read_oers(cfg.in_dir)
+    oers = read_streams(cfg.in_dir, "oers.jsonl").oers
     graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
     paths = hetgraph.read_metapaths(out / "metapaths.json")
     try:
@@ -217,8 +219,12 @@ def stage_recommend(cfg: PipelineConfig,
     model = rset.resolve(community)
 
     extractor = RankFeatureExtractor(graph, paths, oers, cfg.mu, cfg.k1, cfg.b)
-    vectors = extractor.extract(paper, quote, sorted(oers))
-    ranked = ranker.rank(model, vectors)[:top]
+    if extractor.feature_names != model.feature_names:
+        raise ValueError(f"feature names {extractor.feature_names} do not match "
+                         f"model {model.feature_names}")
+    candidates = sorted(oers)
+    ranked = ranker.rank(model, candidates,
+                         extractor.extract(paper, quote, candidates))[:top]
     for i, (oer_id, score) in enumerate(ranked, start=1):
         print(f"{i}\t{oer_id}\t{score:.6f}\t{oers[oer_id].oer_type.value}")
     return (f"recommend: model={model.community}, paper={paper}, "
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--noise", type=float, dest="sim_noise")
         if name == "featurize":
             sp.add_argument("--k-loc", type=int, dest="k_loc")
-        if name in ("rankfeat", "graph-build", "pipeline"):
+        if name in ("graph-build", "pipeline"):
             sp.add_argument("--metapaths", dest="metapath_file")
         if name == "pipeline":
             sp.add_argument("--k", type=int, dest="cluster_k")

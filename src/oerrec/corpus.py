@@ -469,6 +469,10 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
         atomic_write_text(out / name, text)
 
 
+# The stream files, in parse_corpus's argument order.
+STREAMS = ("events.jsonl", "readers.jsonl", "oers.jsonl", "judgments.tsv")
+
+
 def _stream_lines(in_dir, name: str, required: bool = False) -> list[str] | None:
     from pathlib import Path
 
@@ -491,6 +495,11 @@ def read_corpus(in_dir) -> Corpus:
     )
 
 
-def read_oers(in_dir) -> dict[str, OerItem]:
-    """The OERs of a corpus directory, parsing oers.jsonl alone."""
-    return parse_corpus(None, oer_stream=_stream_lines(in_dir, "oers.jsonl", required=True)).oers
+def read_streams(in_dir, *names: str) -> Corpus:
+    """A corpus of the named streams of a directory alone, each of which must
+    exist: a stage that reads part of a corpus parses only that part."""
+    unknown = sorted(set(names) - set(STREAMS))
+    if unknown:
+        raise ValueError(f"unknown corpus streams {unknown}; have {list(STREAMS)}")
+    return parse_corpus(*(_stream_lines(in_dir, name, required=True) if name in names else None
+                          for name in STREAMS))

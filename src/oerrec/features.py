@@ -2,7 +2,7 @@
 eight behavior groups (quote/comment locations, term frequencies, OER
 ratings, reply adjacency), assembled into per-reader unified vectors.
 
-Everything here is a pure function of (corpus, settings, seed); re-running
+Everything here is a pure function of (corpus, k_loc, seed); re-running
 yields bit-identical matrices. Reader rows are always ordered by sorted
 reader id.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, EventKind, Grade, LOCATED_KINDS
 from .kmedoids import kmedoids
-from .text import DEFAULT_SETTINGS, TokenizerSettings, Vocabulary
+from .text import TOKENIZER_RECORD, term_counts
 from .util import fork_seed, rng_for
 
 # Group order is fixed; serialized artifacts and unified vectors follow it.
@@ -155,29 +155,6 @@ class FeatureMatrix:
         )
 
 
-def _texts_by_reader(corpus: Corpus, kinds: frozenset, attr: str) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {r: [] for r in corpus.readers}
-    for event in corpus.events.values():
-        if event.kind in kinds:
-            text = getattr(event, attr)
-            if text:
-                out[event.reader_id].append(text)
-    return out
-
-
-def _tf_group(
-    name: str, texts: dict[str, list[str]], readers: tuple[str, ...],
-    settings: TokenizerSettings,
-) -> tuple[FeatureGroup, Vocabulary]:
-    docs = [t for r in readers for t in texts[r]]
-    vocab = Vocabulary.build(docs, settings)
-    M = np.zeros((len(readers), len(vocab)))
-    for i, r in enumerate(readers):
-        for t in texts[r]:
-            M[i] += vocab.tf_vector(t)
-    return FeatureGroup(name, vocab.terms, M), vocab
-
-
 _QUOTE = frozenset({EventKind.QUOTE})
 _QUESTION = frozenset({EventKind.QUESTION})
 _CQ = frozenset({EventKind.COMMENT, EventKind.QUESTION})
@@ -210,11 +187,7 @@ def extract_rpf(corpus: Corpus) -> FeatureMatrix:
     )
 
 
-def extract_rbf(
-    corpus: Corpus,
-    loc_model: LocationClusterModel,
-    vocab_settings: TokenizerSettings = DEFAULT_SETTINGS,
-) -> FeatureMatrix:
+def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> FeatureMatrix:
     """The eight behavior groups of the feature table, one row per reader."""
     readers = tuple(sorted(corpus.readers))
     ridx = {r: i for i, r in enumerate(readers)}
@@ -242,8 +215,10 @@ def extract_rbf(
         ("CQQuoteText", _CQ, "quote_text"),
         ("CQContentText", _CQ, "content_text"),
     ):
-        group, _ = _tf_group(name, _texts_by_reader(corpus, kinds, attr), readers, vocab_settings)
-        groups[name] = group
+        terms, M = term_counts(((ridx[e.reader_id], getattr(e, attr))
+                                for e in corpus.events.values() if e.kind in kinds),
+                               len(readers))
+        groups[name] = FeatureGroup(name, terms, M)
 
     # Latest rating wins per (reader, oer); NotSure leaves the cell absent.
     oer_ids = tuple(sorted(corpus.oers))
@@ -273,20 +248,15 @@ def extract_rbf(
     ordered = {name: groups[name] for name in GROUP_ORDER if name in groups}
     return FeatureMatrix(
         readers, ordered, {r: corpus.readers[r].has_rpf for r in readers},
-        {"tokenizer": vocab_settings.to_dict(), "k_loc": loc_model.k_loc},
+        {"tokenizer": TOKENIZER_RECORD, "k_loc": loc_model.k_loc},
     )
 
 
-def extract_features(
-    corpus: Corpus,
-    k_loc: int = 10,
-    seed: int = 0,
-    vocab_settings: TokenizerSettings = DEFAULT_SETTINGS,
-) -> FeatureMatrix:
+def extract_features(corpus: Corpus, k_loc: int = 10, seed: int = 0) -> FeatureMatrix:
     """All ten groups in canonical order, plus the location model echo."""
     loc_model = build_location_clusters(corpus, k_loc, fork_seed(seed, "locclust"))
     rpf = extract_rpf(corpus)
-    rbf = extract_rbf(corpus, loc_model, vocab_settings)
+    rbf = extract_rbf(corpus, loc_model)
     groups = dict(rpf.groups)
     groups.update(rbf.groups)
     ordered = {name: groups[name] for name in GROUP_ORDER}

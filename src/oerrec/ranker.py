@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .metrics import RankingKernel, id_order, parse_metric, rank_order
-from .rankfeatures import QueryFeatures, RankFeatureVector
+from .rankfeatures import QueryFeatures
 from .util import dump_json, fork_seed, load_json, rng_for
 
 STEP_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
@@ -181,16 +182,10 @@ def coordinate_ascent_train(
 
 # -- applying a model -------------------------------------------------------
 
-def rank(model: RankingModel, vectors: list[RankFeatureVector]) -> list[tuple[str, float]]:
-    """Descending score, ties by ascending oer_id."""
-    for v in vectors:
-        if v.names != model.feature_names:
-            raise ValueError(
-                f"feature names {v.names} do not match model {model.feature_names}")
-    if not vectors:
-        return []
-    ids = [v.oer_id for v in vectors]
-    scores = model.score(np.stack([v.values for v in vectors]))
+def rank(model: RankingModel, ids: Sequence[str], X: np.ndarray) -> list[tuple[str, float]]:
+    """Candidates `ids` with raw feature rows X (n, d), by descending score,
+    ties by ascending oer_id."""
+    scores = model.score(X)
     cols = id_order(ids)
     return [(ids[cols[i]], float(scores[cols[i]])) for i in rank_order(scores[cols])]
 

@@ -11,19 +11,12 @@ import numpy as np
 from .corpus import Corpus, OerItem, OerType
 from .hetgraph import HetGraph, MetaPath, metapath_score
 from .retrieval import CollectionStats, bm25_score, lm_score
-from .text import DEFAULT_SETTINGS, TokenizerSettings, tokenize
+from .text import tokenize
 
 # Keeps the language-model feature finite when mu=0 degenerates the
 # log-likelihood; min-max normalization later maps it to the bottom of the
 # feature range.
 LM_FLOOR = -1e6
-
-
-@dataclass(frozen=True)
-class RankFeatureVector:
-    oer_id: str
-    names: tuple[str, ...]
-    values: np.ndarray
 
 
 @dataclass
@@ -46,17 +39,15 @@ class RankFeatureExtractor:
         mu: float = 2000.0,
         k1: float = 1.2,
         b: float = 0.75,
-        settings: TokenizerSettings = DEFAULT_SETTINGS,
     ):
         self.graph = graph
         self.metapaths = list(metapaths)
         self.oers = dict(oers)
         self.mu, self.k1, self.b = mu, k1, b
-        self.settings = settings
-        self.doc_tokens = {o.oer_id: tokenize(o.body_text, settings) for o in oers.values()}
+        self.doc_tokens = {o.oer_id: tokenize(o.body_text) for o in oers.values()}
         self.stats = CollectionStats.build(self.doc_tokens[o] for o in sorted(self.doc_tokens))
         self.topic_tokens = {
-            t: frozenset(tokenize(graph.payload[t], settings))
+            t: frozenset(tokenize(graph.payload[t]))
             for t in graph.vertices("topic")
         }
         self.feature_names: tuple[str, ...] = tuple(
@@ -70,14 +61,16 @@ class RankFeatureExtractor:
         occur in the quote."""
         if self.graph.vertex_type.get(paper_id) != "paper":
             raise KeyError(f"unknown paper {paper_id!r}")
-        query = set(tokenize(quote_text, self.settings))
+        query = set(tokenize(quote_text))
         starts = [paper_id]
         for topic, terms in sorted(self.topic_tokens.items()):
             if terms and terms <= query:
                 starts.append(topic)
         return starts
 
-    def extract(self, paper_id: str, quote_text: str, candidates) -> list[RankFeatureVector]:
+    def extract(self, paper_id: str, quote_text: str, candidates) -> np.ndarray:
+        """Raw feature rows (n, d) of the candidates, columns in
+        `feature_names` order."""
         candidates = list(candidates)
         for c in candidates:
             if c not in self.oers:
@@ -95,7 +88,7 @@ class RankFeatureExtractor:
                     X[i, col] = walk.scores.get(c, 0.0)
             col += 1
 
-        query_terms = tokenize(quote_text, self.settings)
+        query_terms = tokenize(quote_text)
         for i, c in enumerate(candidates):
             doc = self.doc_tokens[c]
             lm = lm_score(query_terms, doc, self.mu, self.stats)
@@ -109,7 +102,7 @@ class RankFeatureExtractor:
                     X[i, col + j] = 1.0
 
         assert np.all(np.isfinite(X))
-        return [RankFeatureVector(c, self.feature_names, X[i]) for i, c in enumerate(candidates)]
+        return X
 
 
 def build_query_features(
@@ -128,7 +121,6 @@ def build_query_features(
             continue
         candidates = tuple(oer for oer, _ in graded)
         gains = np.array([g for _, g in graded], dtype=np.int64)
-        vectors = extractor.extract(q.paper_id, q.quote_text, candidates)
-        X = np.stack([v.values for v in vectors])
+        X = extractor.extract(q.paper_id, q.quote_text, candidates)
         out.append(QueryFeatures(query_id, q.reader_id, candidates, gains, X))
     return out

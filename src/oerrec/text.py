@@ -1,5 +1,5 @@
-"""Tokenization and vocabulary construction shared by behavior features and
-text ranking scores.
+"""Tokenization and term counting shared by behavior features and text
+ranking scores.
 
 The tokenizer is deliberately rigid: lowercase, split on non-alphanumerics,
 drop tokens shorter than two characters, drop a fixed stopword list. All
@@ -9,7 +9,7 @@ downstream term statistics assume this one preprocessing path.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -19,105 +19,35 @@ STOPWORDS = frozenset(
     "no not of on or that the their these this to was were will with".split()
 )
 
-_TOKEN_PATTERN = r"[0-9a-z]+"
+TOKEN_PATTERN = r"[0-9a-z]+"
+MIN_TOKEN_LEN = 2
+
+# The tokenizer as features.json records it under settings.tokenizer.
+TOKENIZER_RECORD = {
+    "lowercase": True,
+    "token_pattern": TOKEN_PATTERN,
+    "min_token_len": MIN_TOKEN_LEN,
+    "stopwords": sorted(STOPWORDS),
+}
 
 
-@dataclass(frozen=True)
-class TokenizerSettings:
-    lowercase: bool = True
-    token_pattern: str = _TOKEN_PATTERN
-    min_token_len: int = 2
-    stopwords: frozenset[str] = STOPWORDS
-
-    def to_dict(self) -> dict:
-        return {
-            "lowercase": self.lowercase,
-            "token_pattern": self.token_pattern,
-            "min_token_len": self.min_token_len,
-            "stopwords": sorted(self.stopwords),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TokenizerSettings":
-        return cls(
-            lowercase=d["lowercase"],
-            token_pattern=d["token_pattern"],
-            min_token_len=d["min_token_len"],
-            stopwords=frozenset(d["stopwords"]),
-        )
+def tokenize(text: str) -> list[str]:
+    return [t for t in re.findall(TOKEN_PATTERN, text.lower())
+            if len(t) >= MIN_TOKEN_LEN and t not in STOPWORDS]
 
 
-DEFAULT_SETTINGS = TokenizerSettings()
-
-
-def tokenize(text: str, settings: TokenizerSettings = DEFAULT_SETTINGS) -> list[str]:
-    if settings.lowercase:
-        text = text.lower()
-    tokens = re.findall(settings.token_pattern, text)
-    return [t for t in tokens
-            if len(t) >= settings.min_token_len and t not in settings.stopwords]
-
-
-@dataclass
-class Vocabulary:
-    """Sorted term list with document frequencies over a document collection."""
-
-    terms: tuple[str, ...]
-    doc_freq: dict[str, int]
-    n_docs: int
-    settings: TokenizerSettings = DEFAULT_SETTINGS
-    min_df: int = 1
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {t: i for i, t in enumerate(self.terms)}
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def index(self, term: str) -> int | None:
-        return self._index.get(term)
-
-    @classmethod
-    def build(
-        cls,
-        docs: Iterable[str],
-        settings: TokenizerSettings = DEFAULT_SETTINGS,
-        min_df: int = 1,
-    ) -> "Vocabulary":
-        df: dict[str, int] = {}
-        n_docs = 0
-        for doc in docs:
-            n_docs += 1
-            for term in set(tokenize(doc, settings)):
-                df[term] = df.get(term, 0) + 1
-        kept = {t: c for t, c in df.items() if c >= min_df}
-        return cls(tuple(sorted(kept)), kept, n_docs, settings, min_df)
-
-    def tf_vector(self, text: str) -> np.ndarray:
-        """Dense term-frequency vector in term order; OOV tokens are dropped."""
-        vec = np.zeros(len(self.terms), dtype=np.float64)
-        for tok in tokenize(text, self.settings):
-            idx = self._index.get(tok)
-            if idx is not None:
-                vec[idx] += 1.0
-        return vec
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": list(self.terms),
-            "doc_freq": {t: self.doc_freq[t] for t in self.terms},
-            "n_docs": self.n_docs,
-            "min_df": self.min_df,
-            "tokenizer": self.settings.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocabulary":
-        return cls(
-            terms=tuple(d["terms"]),
-            doc_freq=dict(d["doc_freq"]),
-            n_docs=d["n_docs"],
-            settings=TokenizerSettings.from_dict(d["tokenizer"]),
-            min_df=d["min_df"],
-        )
+def term_counts(texts: Iterable[tuple[int, str]], n_rows: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Term counts of (row, text) pairs as an (n_rows, n_terms) matrix whose
+    columns are the sorted union of the terms; each text is tokenized once
+    and empty texts are skipped."""
+    counts = [Counter() for _ in range(n_rows)]
+    for row, text in texts:
+        if text:
+            counts[row].update(tokenize(text))
+    terms = tuple(sorted(set().union(*counts)))
+    col = {t: j for j, t in enumerate(terms)}
+    M = np.zeros((n_rows, len(terms)))
+    for i, row_counts in enumerate(counts):
+        for term, n in row_counts.items():
+            M[i, col[term]] = n
+    return terms, M

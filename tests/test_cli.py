@@ -59,6 +59,39 @@ class TestErrors:
         ]) == 1
         assert "no model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_recommend_top_below_one_rejected(self, pipeline_dir, capsys, top):
+        assert run_cli([
+            "recommend", "--in", pipeline_dir, "--out", pipeline_dir, "--seed", "3",
+            "--paper", "p00", "--quote", "topic00", "--top", top,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--top" in captured.err
+        assert captured.out == ""
+
+    def test_rankfeat_rejects_metapaths_flag(self, tmp_path, capsys):
+        # rankfeat reads <out>/metapaths.json, written by graph-build
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rankfeat", "--in", tmp_path, "--out", tmp_path, "--seed", "1",
+                     "--metapaths", tmp_path / "paths.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metapaths" in capsys.readouterr().err
+
+    def test_recommend_rejects_model_of_other_features(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        paths = load_json(run / "metapaths.json")
+        paths["metapaths"] = paths["metapaths"][1:]
+        (run / "metapaths.json").write_text(json.dumps(paths))
+        assert run_cli([
+            "recommend", "--in", run, "--out", run, "--seed", "3",
+            "--paper", "p00", "--quote", "topic00",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: feature names")
+        assert "do not match model" in captured.err
+        assert captured.out == ""
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # run bookkeeping is set by the CLI, never by a config file
@@ -205,6 +238,27 @@ class TestStages:
                 "--seed", "3", "--paper", paper, "--quote", quote, "--reader", reader,
             ]) == 0
             assert capsys.readouterr().out.splitlines()[:-1] == rows
+
+    def test_rankfeat_reads_no_events(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        argv = ["rankfeat", "--in", run, "--out", run, "--seed", "3"]
+        assert run_cli(argv) == 0
+        expected = (run / "rankfeat.json").read_bytes()
+        (run / "events.jsonl").unlink()
+        assert run_cli(argv) == 0
+        assert (run / "rankfeat.json").read_bytes() == expected
+        capsys.readouterr()
+
+    def test_graph_build_keeps_metapaths_flag(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        paths = load_json(run / "metapaths.json")
+        paths["metapaths"] = paths["metapaths"][:2]
+        (tmp_path / "paths.json").write_text(json.dumps(paths))
+        assert run_cli(["graph-build", "--in", run, "--out", run, "--seed", "3",
+                        "--metapaths", tmp_path / "paths.json"]) == 0
+        assert "2 metapaths" in capsys.readouterr().out
 
     def test_evaluate_missing_rpf_mode(self, pipeline_dir, capsys):
         assert run_cli([

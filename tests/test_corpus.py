@@ -12,7 +12,7 @@ from oerrec.corpus import (
     Grade,
     parse_corpus,
     read_corpus,
-    read_oers,
+    read_streams,
     serialize_events,
     serialize_judgments,
     serialize_oers,
@@ -178,15 +178,28 @@ class TestRoundTrip:
     def test_read_oers_parses_the_oer_stream_alone(self, toy_corpus, tmp_path):
         write_corpus(toy_corpus, tmp_path)
         (tmp_path / "events.jsonl").write_text("not json\n")
-        assert read_oers(tmp_path) == toy_corpus.oers
+        assert read_streams(tmp_path, "oers.jsonl").oers == toy_corpus.oers
         lines = (tmp_path / "oers.jsonl").read_text().splitlines()
         lines[1] = lines[1].replace('"slides"', '"podcast"')
         (tmp_path / "oers.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError, match=r"^oers.jsonl:2: OER type 'podcast'"):
-            read_oers(tmp_path)
+            read_streams(tmp_path, "oers.jsonl")
         (tmp_path / "oers.jsonl").unlink()
         with pytest.raises(FileNotFoundError):
-            read_oers(tmp_path)
+            read_streams(tmp_path, "oers.jsonl")
+
+    def test_read_streams_parses_only_the_named_streams(self, toy_corpus, tmp_path):
+        write_corpus(toy_corpus, tmp_path)
+        (tmp_path / "events.jsonl").write_text("not json\n")
+        part = read_streams(tmp_path, "oers.jsonl", "judgments.tsv")
+        assert part.oers == toy_corpus.oers
+        assert part.queries == toy_corpus.queries
+        assert part.events == {}
+        (tmp_path / "judgments.tsv").unlink()
+        with pytest.raises(FileNotFoundError):
+            read_streams(tmp_path, "oers.jsonl", "judgments.tsv")
+        with pytest.raises(ValueError, match="unknown corpus streams"):
+            read_streams(tmp_path, "oers.json")
 
     def test_read_corpus_tolerates_missing_readers_file(self, toy_corpus, tmp_path):
         write_corpus(toy_corpus, tmp_path)

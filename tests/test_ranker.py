@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oerrec.cli import main as cli_main
-from oerrec.rankfeatures import QueryFeatures, RankFeatureVector
+from oerrec.rankfeatures import QueryFeatures
 from oerrec.ranker import (
     MAX_SWEEPS,
     STEP_GRID,
@@ -276,35 +276,26 @@ class TestRank:
             norm=NormRecord(np.zeros(d), np.ones(d)),
         )
 
-    def vec(self, oer_id, values, names=("a", "b")):
-        return RankFeatureVector(oer_id, tuple(names), np.asarray(values, dtype=float))
-
     def test_zero_weights_rank_by_ascending_id(self):
         model = self.model([0.0, 0.0])
-        ranked = rank(model, [self.vec("z", [1, 1]), self.vec("a", [0, 0])])
+        ranked = rank(model, ["z", "a"], np.array([[1.0, 1.0], [0.0, 0.0]]))
         assert [oer for oer, _ in ranked] == ["a", "z"]
 
     def test_single_candidate_score_is_dot_product(self):
         model = self.model([0.25, 0.75])
-        ranked = rank(model, [self.vec("x", [0.4, 0.8])])
+        ranked = rank(model, ["x"], np.array([[0.4, 0.8]]))
         assert ranked == [("x", pytest.approx(0.25 * 0.4 + 0.75 * 0.8))]
 
     def test_three_candidates_match_hand_dot_products(self):
         model = self.model([0.5, 0.5])
-        vecs = [
-            self.vec("a", [0.2, 0.2]),
-            self.vec("b", [0.9, 0.1]),
-            self.vec("c", [0.6, 0.8]),
-        ]
-        ranked = rank(model, vecs)
-        scores = [0.5 * v.values[0] + 0.5 * v.values[1] for v in vecs]
+        X = np.array([[0.2, 0.2], [0.9, 0.1], [0.6, 0.8]])
+        ranked = rank(model, ["a", "b", "c"], X)
+        scores = [0.5 * row[0] + 0.5 * row[1] for row in X]
         order = oracle_rank_order(["a", "b", "c"], scores)
         assert [oer for oer, _ in ranked] == [["a", "b", "c"][i] for i in order]
 
-    def test_feature_name_mismatch_rejected(self):
-        model = self.model([1.0, 0.0])
-        with pytest.raises(ValueError):
-            rank(model, [self.vec("x", [1, 2], names=("a", "zz"))])
+    def test_no_candidates_rank_empty(self):
+        assert rank(self.model([1.0, 0.0]), [], np.zeros((0, 2))) == []
 
     def test_rank_query_returns_gains_in_rank_order(self):
         queries = random_problem(2)

@@ -71,14 +71,15 @@ class TestExtract:
         oers["z1"] = base.__class__("z1", base.oer_type, "Orphan", "orphan words")
         corpus_graph.add_vertex("z1", "oer", "wiki")
         ex = RankFeatureExtractor(corpus_graph, default_metapaths(), oers)
-        (vec,) = ex.extract("p1", "zzz qqq", ["z1"])
-        named = dict(zip(vec.names, vec.values))
+        (row,) = ex.extract("p1", "zzz qqq", ["z1"])
+        named = dict(zip(ex.feature_names, row))
         assert named["type:wiki"] == 1.0
         named.pop("type:wiki")
         assert all(v == 0.0 for v in named.values())
 
     def test_walk_features_match_tour_oracle(self, extractor, corpus_graph):
-        vecs = extractor.extract("p1", "graph hash", ["v1", "s1", "c1", "w1"])
+        candidates = ["v1", "s1", "c1", "w1"]
+        X = extractor.extract("p1", "graph hash", candidates)
         adj, payload = graph_as_dicts(corpus_graph)
         starts_by_type = {"paper": ["p1"], "topic": ["t1", "t2"]}
         for j, path in enumerate(extractor.metapaths):
@@ -86,17 +87,16 @@ class TestExtract:
             scores, _ = oracle_walk(
                 adj, payload, steps, starts_by_type[path.source_type]
             )
-            for vec in vecs:
-                assert vec.values[j] == pytest.approx(
-                    scores.get(vec.oer_id, 0.0), abs=1e-12
-                )
+            for oer_id, row in zip(candidates, X):
+                assert row[j] == pytest.approx(scores.get(oer_id, 0.0), abs=1e-12)
 
     def test_text_features_match_oracles(self, extractor, toy_corpus):
         quote = "hash table"
-        vecs = extractor.extract("p1", quote, ["v1", "s1"])
+        candidates = ["v1", "s1"]
+        X = extractor.extract("p1", quote, candidates)
         stats = extractor.stats
-        for vec in vecs:
-            doc = extractor.doc_tokens[vec.oer_id]
+        for oer_id, row in zip(candidates, X):
+            doc = extractor.doc_tokens[oer_id]
             lm_expected, _, _ = oracle_lm(
                 ["hash", "table"], doc, 2000.0, stats.term_counts, stats.total_terms
             )
@@ -104,7 +104,7 @@ class TestExtract:
                 ["hash", "table"], doc, 1.2, 0.75,
                 stats.doc_freq, stats.n_docs, stats.avg_doc_len,
             )
-            named = dict(zip(vec.names, vec.values))
+            named = dict(zip(extractor.feature_names, row))
             assert named["lm"] == pytest.approx(lm_expected, abs=1e-12)
             assert named["bm25"] == pytest.approx(bm_expected, abs=1e-12)
 
@@ -119,19 +119,19 @@ class TestExtract:
         corpus_graph.add_vertex("s2", "oer", "slides")
         corpus_graph.add_edge("t2", "related", "s2")
         ex = RankFeatureExtractor(corpus_graph, default_metapaths(), corpus_oers)
-        vecs = {v.oer_id: v for v in ex.extract("p1", "hash", ["s1", "s2"])}
+        s1, s2 = ex.extract("p1", "hash", ["s1", "s2"])
         # Walk features differ (the twin halves t2's fan-out is shared
         # equally), so compare only where connectivity is truly identical.
-        assert np.array_equal(vecs["s1"].values, vecs["s2"].values)
+        assert np.array_equal(s1, s2)
 
     def test_unknown_candidate_rejected(self, extractor):
         with pytest.raises(KeyError):
             extractor.extract("p1", "graph", ["ghost"])
 
     def test_all_values_finite(self, extractor, toy_corpus):
-        vecs = extractor.extract("p1", "graph hash table walk", list(toy_corpus.oers))
-        for vec in vecs:
-            assert np.all(np.isfinite(vec.values))
+        X = extractor.extract("p1", "graph hash table walk", list(toy_corpus.oers))
+        assert X.shape == (len(toy_corpus.oers), len(extractor.feature_names))
+        assert np.all(np.isfinite(X))
 
 
 class TestBuildQueryFeatures:
@@ -166,4 +166,4 @@ class TestBuildQueryFeatures:
         qfs = build_query_features(toy_corpus, extractor)
         q1 = qfs[0]
         direct = extractor.extract("p1", "hash table", list(q1.candidates))
-        assert np.array_equal(q1.X, np.vstack([v.values for v in direct]))
+        assert np.array_equal(q1.X, direct)

@@ -1,9 +1,9 @@
-"""Tokenizer and vocabulary behavior."""
+"""Tokenizer and term-count behavior."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from oerrec.text import STOPWORDS, TokenizerSettings, Vocabulary, tokenize
+from oerrec.text import MIN_TOKEN_LEN, STOPWORDS, term_counts, tokenize
 
 
 class TestTokenize:
@@ -27,39 +27,35 @@ class TestTokenize:
 
     @given(st.text(max_size=80))
     def test_tokens_match_settings(self, text):
-        settings = TokenizerSettings()
-        for tok in tokenize(text, settings):
-            assert len(tok) >= settings.min_token_len
+        for tok in tokenize(text):
+            assert len(tok) >= MIN_TOKEN_LEN
             assert tok not in STOPWORDS
             assert tok == tok.lower()
 
 
 class TestVocabulary:
-    def test_terms_sorted_and_dense(self):
-        vocab = Vocabulary.build(["walk graph", "graph hash"])
-        assert vocab.terms == ("graph", "hash", "walk")
-        assert [vocab.index(t) for t in vocab.terms] == [0, 1, 2]
-        assert vocab.doc_freq == {"graph": 2, "hash": 1, "walk": 1}
-        assert vocab.n_docs == 2
+    """term_counts: one row per reader, columns the sorted union of terms."""
 
-    def test_min_df_drops_rare_terms(self):
-        vocab = Vocabulary.build(["graph walk", "graph hash"], min_df=2)
-        assert vocab.terms == ("graph",)
+    def test_terms_sorted_and_dense(self):
+        terms, M = term_counts([(0, "walk graph"), (1, "graph hash")], 2)
+        assert terms == ("graph", "hash", "walk")
+        assert np.array_equal(M, np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
 
     def test_tf_vector_counts_occurrences(self):
-        vocab = Vocabulary.build(["graph walk"])
-        vec = vocab.tf_vector("graph graph walk unseen")
-        assert np.array_equal(vec, np.array([2.0, 1.0]))
+        terms, M = term_counts([(0, "graph graph walk"), (0, "walk the"), (2, "")], 3)
+        assert terms == ("graph", "walk")
+        assert np.array_equal(M, np.array([[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
 
-    def test_unknown_term_index_is_none(self):
-        vocab = Vocabulary.build(["graph"])
-        assert vocab.index("walk") is None
+    def test_no_texts_no_columns(self):
+        terms, M = term_counts([(0, ""), (1, "the a")], 2)
+        assert terms == ()
+        assert M.shape == (2, 0)
 
-    def test_round_trip_dict(self):
-        vocab = Vocabulary.build(["graph walk", "hash"], min_df=1)
-        again = Vocabulary.from_dict(vocab.to_dict())
-        assert again == vocab
-
-    @given(st.lists(st.sampled_from(["graph walk", "hash table", "net", ""]), max_size=5))
-    def test_build_deterministic(self, docs):
-        assert Vocabulary.build(docs) == Vocabulary.build(list(docs))
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.sampled_from(["graph walk", "hash table", "net", ""])),
+                    max_size=5))
+    def test_build_deterministic(self, texts):
+        terms, M = term_counts(texts, 3)
+        again_terms, again = term_counts(iter(list(texts)), 3)
+        assert terms == again_terms and np.array_equal(M, again)
+        assert M.sum() == sum(len(tokenize(t)) for _, t in texts)
