@@ -15,7 +15,8 @@ from .community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
 from .features import FeatureMatrix, RPF_GROUPS
 from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
-from .ranker import DEFAULT_RESTARTS, DEFAULT_THRESHOLD, train_communitized
+from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, CommunityRankerSet,
+                     community_jobs, train_models)
 from .util import dump_json, fork_seed, load_json, rng_for
 
 log = logging.getLogger(__name__)
@@ -165,19 +166,21 @@ def cross_validate_ranking(
     threshold: int = DEFAULT_THRESHOLD,
 ) -> MetricReport:
     """Per fold, train communitized and global models on the out-fold queries
-    and score the in-fold ones with both, keeping per-query pairs."""
+    and score the in-fold ones with both, keeping per-query pairs. The
+    models of all folds train in one `train_models` call."""
     fold_of = make_folds(queries, assignment, folds, seed)
     per_query: dict[str, dict[str, dict[str, float]]] = {"communitized": {}, "global": {}}
     skipped: list[str] = []
 
-    for f in range(folds):
-        train = [q for q in queries if fold_of[q.query_id] != f]
+    jobs = {f: community_jobs([q for q in queries if fold_of[q.query_id] != f],
+                              assignment, feature_names, metric_spec, restarts,
+                              threshold, seed=fork_seed(seed, f"fold:{f}"))
+            for f in sorted(set(fold_of.values()))}
+    models = iter(train_models([job for fold in jobs.values() for job in fold]))
+
+    for f, fold_jobs in jobs.items():
+        rset = CommunityRankerSet.from_models([next(models) for _ in fold_jobs], threshold)
         test = [q for q in queries if fold_of[q.query_id] == f]
-        if not test:
-            continue
-        rset = train_communitized(
-            train, assignment, feature_names, metric_spec, restarts, threshold,
-            seed=fork_seed(seed, f"fold:{f}"))
         for q in test:
             if assignment[q.reader_id] not in rset.models:
                 log.info("fold %d: community %s has no model; query %s uses global",

@@ -127,16 +127,9 @@ def train_maxent(X: np.ndarray, labels, lam: float = 1.0) -> MaxEntModel:
     return MaxEntModel(W, b, lam, iterations=it, final_grad_norm=grad_norm)
 
 
-def predict_community(model: MaxEntModel, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Softmax class distribution; label is the argmax, ties to lower index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected vector of dim {model.n_features}, got shape {x.shape}")
-    probs = _softmax(model.weights @ x + model.intercepts)
-    return int(np.argmax(probs)), probs
-
-
 def predict_batch(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax class distribution of each row of X (n, d); each label is the
+    argmax, ties to the lower index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (n, {model.n_features}) matrix, got shape {X.shape}")

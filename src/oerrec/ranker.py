@@ -9,13 +9,19 @@ score, ascending oer_id as the tie-break). Only the queries whose feature
 column for the coordinate is not all zero are re-ranked; the others keep
 their metric values. Inference orders candidates with the same
 `rank_order`.
+
+Every training seeds itself, so the trainings of one stage (the global and
+community models, and those of every CV fold) are independent jobs:
+`train_models` runs them in a pool of forked processes, one per usable CPU,
+and returns the models in job order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,6 +202,69 @@ def rank_query(model: RankingModel, q: QueryFeatures) -> list[int]:
     return [int(q.gains[cols[i]]) for i in rank_order(model.score(q.X)[cols])]
 
 
+# -- independent trainings in parallel ---------------------------------------
+
+class TrainJob(NamedTuple):
+    """The arguments of one `coordinate_ascent_train` call."""
+
+    queries: list[QueryFeatures]
+    feature_names: tuple[str, ...]
+    metric_spec: str
+    restarts: int
+    seed: int
+    community: str
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_jobs: list[TrainJob] = []  # a pool worker's copy of its call's jobs
+
+
+def _start_worker(jobs: list[TrainJob]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+    # A worker whose caller is killed would otherwise wait for jobs forever.
+    import threading
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    import multiprocessing
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+def _train_job(i: int) -> RankingModel:
+    return coordinate_ascent_train(*_worker_jobs[i])
+
+
+def train_models(jobs: list[TrainJob]) -> list[RankingModel]:
+    """Train every job's model; the models come back in job order.
+
+    With more than one usable CPU the jobs run in a pool of forked worker
+    processes, one per CPU up to the job count. A forked worker inherits the
+    job list, so only job indices and trained models cross between
+    processes. A job's exception reaches the caller as raised, and the pool
+    is shut down and its workers joined before this returns; a worker also
+    exits when the calling process dies. With one CPU, or where processes
+    cannot fork, the jobs run here, one after another.
+    """
+    workers = min(usable_cpus(), len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [coordinate_ascent_train(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(jobs,)) as pool:
+        return list(pool.map(_train_job, range(len(jobs))))
+
+
 # -- per-community training --------------------------------------------------
 
 @dataclass
@@ -204,10 +273,41 @@ class CommunityRankerSet:
     global_model: RankingModel
     threshold: int
 
+    @classmethod
+    def from_models(cls, models: list[RankingModel], threshold: int) -> "CommunityRankerSet":
+        """Assemble the models trained for `community_jobs`, global first."""
+        return cls({int(m.community): m for m in models[1:]}, models[0], threshold)
+
     def resolve(self, community: int | None) -> RankingModel:
         if community is not None and community in self.models:
             return self.models[community]
         return self.global_model
+
+
+def community_jobs(
+    queries: list[QueryFeatures],
+    assignment: dict[str, int],
+    feature_names: tuple[str, ...],
+    metric_spec: str = "ndcg@3",
+    restarts: int = DEFAULT_RESTARTS,
+    threshold: int = DEFAULT_THRESHOLD,
+    seed: int = 0,
+) -> list[TrainJob]:
+    """The global model's job, then one for each community with >= threshold
+    judged queries and a positive gain among them."""
+    if not queries:
+        raise ValueError("zero judgments overall")
+    missing = sorted({q.reader_id for q in queries} - set(assignment))
+    if missing:
+        raise ValueError(f"readers without community assignment: {missing}")
+    jobs = [TrainJob(queries, feature_names, metric_spec, restarts, seed, "global")]
+    for c in sorted(set(assignment.values())):
+        subset = [q for q in queries if assignment[q.reader_id] == c]
+        if len(subset) < threshold or not any((q.gains > 0).any() for q in subset):
+            continue
+        jobs.append(TrainJob(subset, feature_names, metric_spec, restarts,
+                             fork_seed(seed, f"community:{c}"), str(c)))
+    return jobs
 
 
 def train_communitized(
@@ -221,22 +321,9 @@ def train_communitized(
 ) -> CommunityRankerSet:
     """One model per community with >= threshold judged queries, plus the
     global model every small or unseen community falls back to."""
-    if not queries:
-        raise ValueError("zero judgments overall")
-    missing = sorted({q.reader_id for q in queries} - set(assignment))
-    if missing:
-        raise ValueError(f"readers without community assignment: {missing}")
-    global_model = coordinate_ascent_train(
-        queries, feature_names, metric_spec, restarts, seed, community="global")
-    models: dict[int, RankingModel] = {}
-    for c in sorted(set(assignment.values())):
-        subset = [q for q in queries if assignment[q.reader_id] == c]
-        if len(subset) < threshold or not any((q.gains > 0).any() for q in subset):
-            continue
-        models[c] = coordinate_ascent_train(
-            subset, feature_names, metric_spec, restarts,
-            seed=fork_seed(seed, f"community:{c}"), community=str(c))
-    return CommunityRankerSet(models, global_model, threshold)
+    jobs = community_jobs(queries, assignment, feature_names, metric_spec,
+                          restarts, threshold, seed)
+    return CommunityRankerSet.from_models(train_models(jobs), threshold)
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,12 +1,16 @@
 """Command-line driver: stage wiring, reproducibility, and error handling."""
 
+import dataclasses
 import json
+import multiprocessing
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from oerrec import ranker
 from oerrec.cli import main
 from oerrec.util import load_json
 
@@ -91,6 +95,30 @@ class TestErrors:
         assert captured.err.startswith("error: feature names")
         assert "do not match model" in captured.err
         assert captured.out == ""
+
+    def test_train_ranker_error_in_a_worker_writes_no_model(
+            self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        # the community models' trainings see no positive gain, so they
+        # raise in pool workers while the global model trains
+        for name in ("rankfeat.json", "communities.tsv"):
+            shutil.copy(pipeline_dir / name, tmp_path / name)
+        train = ranker.coordinate_ascent_train
+
+        def untrainable_communities(queries, *args):
+            if args[-1] != "global":
+                queries = [dataclasses.replace(q, gains=np.zeros_like(q.gains))
+                           for q in queries]
+            return train(queries, *args)
+
+        monkeypatch.setattr(ranker, "coordinate_ascent_train", untrainable_communities)
+        monkeypatch.setattr(ranker, "usable_cpus", lambda: 2)
+        assert run_cli(["train-ranker", "--out", tmp_path, "--seed", "3",
+                        "--restarts", "1", "--threshold", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: untrainable: no query with a positive gain\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["communities.tsv",
+                                                             "rankfeat.json"]
+        assert multiprocessing.active_children() == []
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,13 @@
 """Cross-validated ranking evaluation and the missing-profile simulation."""
 
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from oerrec import ranker
 from oerrec.community import cluster_profiles
 from oerrec.evaluation import (
     METRIC_NAMES,
@@ -230,6 +233,24 @@ class TestCrossValidateRanking:
             folds=4, seed=0, restarts=2, threshold=5,
         )
         assert again.to_dict() == report.to_dict()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+    def test_pooled_report_equals_serial(self, monkeypatch):
+        # patching the CPU count picks the pooled (2) or in-process (1) path;
+        # on random features each fold's models rank differently
+        g = np.random.default_rng(5)
+        queries = [make_query(f"q{i:02d}", f"r{i % 3}", g.integers(0, 3, 5),
+                              g.uniform(0, 1, (5, 3))) for i in range(30)]
+        assignment = {"r0": 0, "r1": 1, "r2": 1}
+        reports = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
+            reports.append(cross_validate_ranking(
+                queries, ("f0", "f1", "f2"), assignment,
+                folds=4, seed=0, restarts=2, threshold=5,
+            ).to_dict())
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
 
     def test_means_recomputable_from_per_query(self, run):
         _, report = run

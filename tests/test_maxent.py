@@ -9,7 +9,6 @@ from oerrec.maxent import (
     MAX_ITER,
     MaxEntModel,
     predict_batch,
-    predict_community,
     train_maxent,
     _objective,
 )
@@ -75,8 +74,8 @@ class TestTraining:
         X = np.ones((10, 2))
         y = np.array([0] * 7 + [1] * 3)
         model = train_maxent(X, y, lam=1.0)
-        _, probs = predict_community(model, np.ones(2))
-        assert probs == pytest.approx([0.7, 0.3], abs=1e-6)
+        _, probs = predict_batch(model, np.ones((1, 2)))
+        assert probs[0] == pytest.approx([0.7, 0.3], abs=1e-6)
 
     def test_objective_not_below_zero_init(self):
         for seed in range(5):
@@ -130,35 +129,34 @@ class TestTraining:
 class TestPredict:
     def test_zero_weight_model_uniform(self):
         model = MaxEntModel(np.zeros((3, 2)), np.zeros(3), lam=1.0)
-        label, probs = predict_community(model, np.array([5.0, -2.0]))
-        assert label == 0
-        assert probs == pytest.approx([1 / 3] * 3, abs=1e-12)
+        labels, probs = predict_batch(model, np.array([[5.0, -2.0]]))
+        assert labels[0] == 0
+        assert probs[0] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
     def test_hand_set_weights_match_direct_softmax(self):
         W = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([0.1, -0.1])
         model = MaxEntModel(W, b, lam=0.0)
-        x = np.array([0.3, 0.9])
-        label, probs = predict_community(model, x)
+        labels, probs = predict_batch(model, np.array([[0.3, 0.9]]))
         expected = oracle_softmax([0.3 + 0.1, 0.9 - 0.1])
-        assert probs == pytest.approx(expected, abs=1e-12)
-        assert label == int(np.argmax(expected))
+        assert probs[0] == pytest.approx(expected, abs=1e-12)
+        assert labels[0] == int(np.argmax(expected))
 
     def test_dimension_mismatch_rejected(self):
         model = MaxEntModel(np.zeros((2, 3)), np.zeros(2), lam=1.0)
         with pytest.raises(ValueError):
-            predict_community(model, np.ones(2))
+            predict_batch(model, np.ones((1, 2)))
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=1000))
     def test_probabilities_sum_to_one(self, seed):
         g = np.random.default_rng(seed)
         model = MaxEntModel(g.normal(size=(4, 3)), g.normal(size=4), lam=1.0)
-        _, probs = predict_community(model, g.normal(size=3) * 10)
+        _, probs = predict_batch(model, g.normal(size=(1, 3)) * 10)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
 
     def test_argmax_tie_breaks_low_index(self):
         model = MaxEntModel(np.zeros((4, 2)), np.zeros(4), lam=1.0)
-        label, _ = predict_community(model, np.array([1.0, 1.0]))
-        assert label == 0
+        labels, _ = predict_batch(model, np.array([[1.0, 1.0]]))
+        assert labels[0] == 0

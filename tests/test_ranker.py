@@ -1,11 +1,17 @@
 """Coordinate-ascent ranker training and model application."""
 
 import hashlib
+import multiprocessing
+import os
+import select
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oerrec import ranker
 from oerrec.cli import main as cli_main
 from oerrec.rankfeatures import QueryFeatures
 from oerrec.ranker import (
@@ -14,12 +20,14 @@ from oerrec.ranker import (
     SWEEP_TOL,
     NormRecord,
     RankingModel,
+    TrainJob,
     coordinate_ascent_train,
     rank,
     rank_query,
     read_model,
     read_rankerset,
     train_communitized,
+    train_models,
     write_model,
     write_rankerset,
 )
@@ -367,6 +375,97 @@ class TestTrainCommunitized:
         w0, w1 = rset.models[0].weights, rset.models[1].weights
         assert w0[0] > w0[1]
         assert w1[1] > w1[0]
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+
+
+class TestTrainModels:
+    """`train_models` runs jobs in forked workers when more than one CPU is
+    usable; `usable_cpus` is patched to pick the pooled or the serial path."""
+
+    @needs_fork
+    def test_pooled_models_equal_serial_bit_for_bit(self, monkeypatch):
+        queries = TestTrainCommunitized().queries_for(["r1", "r2", "r3", "r4"], per_reader=6)
+        assignment = {"r1": 0, "r2": 0, "r3": 1, "r4": 2}
+        sets = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
+            sets.append(train_communitized(queries, assignment, ("f0", "f1"),
+                                           threshold=5, seed=3))
+        pooled, serial = sets
+        assert set(pooled.models) == set(serial.models) == {0, 1, 2}
+        for a, b in zip([pooled.global_model, *pooled.models.values()],
+                        [serial.global_model, *serial.models.values()]):
+            assert a.community == b.community
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.trace == b.trace
+            assert a.metric_value == b.metric_value
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ranker, "usable_cpus", lambda: 2)
+        untrainable = [make_query("q0", "r0", [0, 0, 0], np.zeros((3, 2)))]
+        jobs = [TrainJob(random_problem(1), ("f0", "f1"), "ndcg@3", 1, 0, "global"),
+                TrainJob(untrainable, ("f0", "f1"), "ndcg@3", 1, 0, "0")]
+        with pytest.raises(ValueError) as exc:
+            train_models(jobs)
+        assert str(exc.value) == "untrainable: no query with a positive gain"
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_workers_exit_when_the_caller_is_killed(self):
+        # The caller and its workers hold the pipe's write end: each job
+        # writes one byte to it and then sleeps. Once every one of them
+        # has exited, the read end sees end of file.
+        code = (
+            "import os, sys, time\n"
+            "from oerrec import ranker\n"
+            "def stuck():\n"
+            "    os.write(int(sys.argv[1]), b'x')\n"
+            "    time.sleep(60)\n"
+            "ranker.coordinate_ascent_train = stuck\n"
+            "ranker.usable_cpus = lambda: 2\n"
+            "ranker.train_models([(), ()])\n")
+        r, w = os.pipe()
+        proc = subprocess.Popen([sys.executable, "-c", code, str(w)], pass_fds=(w,))
+        os.close(w)
+        try:
+            started = b""
+            while len(started) < 2 and select.select([r], [], [], 30)[0]:
+                chunk = os.read(r, 2)
+                if not chunk:
+                    break
+                started += chunk
+            assert started == b"xx"
+            proc.kill()
+            proc.wait(timeout=10)
+            assert select.select([r], [], [], 10)[0], "a worker outlived its caller"
+            assert os.read(r, 1) == b""
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            os.close(r)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_multiprocessing_imported_only_for_a_pool(self, cpus):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from oerrec import ranker\n"
+            "from oerrec.rankfeatures import QueryFeatures\n"
+            f"ranker.usable_cpus = lambda: {cpus}\n"
+            "g = np.random.default_rng(0)\n"
+            "qs = [QueryFeatures(f'q{i}', f'r{i % 2}', ('a', 'b', 'c'), np.array([2, 1, 0]),\n"
+            "                    g.uniform(0, 1, (3, 2))) for i in range(8)]\n"
+            "rset = ranker.train_communitized(qs, {'r0': 0, 'r1': 1}, ('f0', 'f1'),\n"
+            "                                 restarts=1, threshold=2)\n"
+            "print(len(rset.models), 'multiprocessing' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        pooled = cpus > 1 and hasattr(os, "fork")
+        assert proc.stdout == f"2 {pooled}\n"
 
 
 class TestModelIO:
