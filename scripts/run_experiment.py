@@ -20,15 +20,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from oerrec.community import cluster_readers, pairwise_cluster_eval
+from oerrec.community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
+                              pairwise_cluster_eval)
 from oerrec.evaluation import cross_validate_ranking, simulate_missing_rpf
-from oerrec.features import RBF_GROUPS, RPF_GROUPS, combine_groups, extract_features
+from oerrec.features import RPF_GROUPS, extract_features
 from oerrec.hetgraph import default_metapaths
 from oerrec.rankfeatures import RankFeatureExtractor, build_query_features
 from oerrec.simgen import SimConfig, generate
 from oerrec.util import dump_json, stable_hash
-
-BEHAVIOR_GROUPS = tuple(g for g in RBF_GROUPS if g != "ReplyRelation")
 
 
 def build_inputs(cfg: SimConfig):
@@ -38,8 +37,7 @@ def build_inputs(cfg: SimConfig):
     extractor = RankFeatureExtractor(
         result.graph, default_metapaths(), result.corpus.oers)
     queries = build_query_features(result.corpus, extractor)
-    assignment = cluster_readers(
-        combine_groups(fm, RPF_GROUPS), cfg.n_communities, seed=cfg.seed).assignment
+    assignment = cluster_profiles(fm, cfg.n_communities, seed=cfg.seed).assignment
     return result, fm, queries, extractor.feature_names, assignment
 
 
@@ -105,9 +103,10 @@ def run_clustering(args) -> list[dict]:
         fm = extract_features(result.corpus)
         truth = result.corpus.reply_pairs()
         f1 = {}
-        for name, groups in (("profile", RPF_GROUPS), ("behavior", BEHAVIOR_GROUPS)):
-            assignment = cluster_readers(
-                combine_groups(fm, groups), cfg.n_communities, seed=seed).assignment
+        for name, groups in (("profile", RPF_GROUPS),
+                             ("behavior", DEFAULT_CLASSIFIER_GROUPS)):
+            assignment = cluster_profiles(
+                fm, cfg.n_communities, seed=seed, groups=groups).assignment
             f1[name] = pairwise_cluster_eval(assignment, truth)["f1"]
         rows.append({"seed": seed, "profile_f1": f1["profile"],
                      "behavior_f1": f1["behavior"],

@@ -1,6 +1,8 @@
-"""Reader communities: K-medoids clustering over unified feature vectors,
-pairwise evaluation against reply ground truth, and the two-step assignment
-that covers profile-less readers with a Maximum-Entropy classifier.
+"""Reader communities: K-medoids clustering of profile-bearing readers,
+pairwise evaluation against reply ground truth, and the Maximum-Entropy
+behavior classifier that places readers without a profile. The CLI's
+`cluster` -> `train-community-classifier` -> `assign` chain and the
+missing-profile simulation compose these steps.
 """
 
 from __future__ import annotations
@@ -30,26 +32,7 @@ class CommunityModel:
     medoid_reader_ids: tuple[str, ...]
     assignment: dict[str, int]  # reader_id -> community index in [0, k)
     metric: str = "euclidean"
-    source_groups: tuple[str, ...] = RPF_GROUPS
     cost: float = 0.0
-
-    def members(self, community: int) -> list[str]:
-        return sorted(r for r, c in self.assignment.items() if c == community)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "medoids": list(self.medoid_reader_ids),
-            "assignment": dict(sorted(self.assignment.items())),
-            "metric": self.metric,
-            "source_groups": list(self.source_groups),
-            "cost": self.cost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommunityModel":
-        return cls(d["k"], tuple(d["medoids"]), dict(d["assignment"]),
-                   d["metric"], tuple(d["source_groups"]), d["cost"])
 
 
 def cluster_readers(
@@ -57,7 +40,6 @@ def cluster_readers(
     k: int,
     metric: str = "euclidean",
     seed: int = 0,
-    source_groups: tuple[str, ...] = RPF_GROUPS,
 ) -> CommunityModel:
     """K-medoids over the unified vectors; rows arrive in sorted-reader order,
     so the result is invariant to how the corpus streams were ordered."""
@@ -68,7 +50,6 @@ def cluster_readers(
         medoid_reader_ids=tuple(readers[m] for m in result.medoid_indices),
         assignment={r: int(c) for r, c in zip(readers, result.assignment)},
         metric=metric,
-        source_groups=source_groups,
         cost=result.cost,
     )
 
@@ -106,7 +87,7 @@ def cluster_profiles(
     if len(with_rpf) < k:
         raise ValueError(f"only {len(with_rpf)} profile-bearing readers for k={k}")
     vectors = combine_groups(fm.subset_readers(with_rpf), groups, weights or None)
-    return cluster_readers(vectors, k, metric, seed, groups)
+    return cluster_readers(vectors, k, metric, seed)
 
 
 def fit_behavior_classifier(
@@ -136,39 +117,6 @@ def predict_behavior(
                  "to intercept-only scores", silent)
     predicted, _ = predict_batch(model, behavior.X[rest])
     return {behavior.reader_ids[i]: int(c) for i, c in zip(rest, predicted)}
-
-
-@dataclass
-class TwoStepResult:
-    community_model: CommunityModel
-    maxent_model: MaxEntModel
-    assignment: dict[str, int]  # every reader
-    source: dict[str, str]  # reader_id -> "clustered" | "predicted"
-
-
-def two_step_assign(
-    fm: FeatureMatrix,
-    k: int = 3,
-    metric: str = "euclidean",
-    lam: float = 1.0,
-    seed: int = 0,
-    cluster_groups: tuple[str, ...] = RPF_GROUPS,
-    classifier_groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
-    group_weights: dict[str, float] | None = None,
-) -> TwoStepResult:
-    """Cluster profile-bearing readers, then extend the assignment to the
-    rest by a Maximum-Entropy classifier trained on behavior features.
-
-    Steps: cluster readers with has_rpf on `cluster_groups`; use the cluster
-    indices as labels; train the classifier on those readers'
-    `classifier_groups` vectors; predict every remaining reader.
-    """
-    model = cluster_profiles(fm, k, metric, seed, cluster_groups, group_weights)
-    maxent = fit_behavior_classifier(fm, model.assignment, classifier_groups, lam)
-    predicted = predict_behavior(fm, maxent, model.assignment, classifier_groups)
-    source = {r: "clustered" for r in model.assignment}
-    source.update({r: "predicted" for r in predicted})
-    return TwoStepResult(model, maxent, {**model.assignment, **predicted}, source)
 
 
 # -- communities.tsv ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Offline evaluation: per-query ranking metrics aggregated over seeded
 cross-validation folds, paired system comparison, and the missing-profile
-simulation that scores the two-step community assignment."""
+simulation, which predicts held-out readers' communities from behavior and
+reruns the ranking comparison on that assignment."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
 from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, CommunityRankerSet,
                      community_jobs, train_models)
-from .util import dump_json, fork_seed, load_json, rng_for
+from .util import dump_json, fork_seed, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +53,6 @@ class MetricReport:
     folds: int
     extras: dict = field(default_factory=dict)
     settings: dict = field(default_factory=dict)
-
-    @property
-    def systems(self) -> tuple[str, ...]:
-        return tuple(self.per_query)
 
     @property
     def n_evaluated(self) -> int:
@@ -105,26 +102,9 @@ class MetricReport:
             "settings": self.settings,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(
-            per_query={s: dict(v["per_query"]) for s, v in d["systems"].items()},
-            skipped=tuple(d["skipped_queries"]),
-            fold_assignment=dict(d["fold_assignment"]),
-            folds=d["folds"],
-            extras=d.get("extras", {}),
-            settings=d.get("settings", {}),
-        )
-
 
 def write_report(report: MetricReport, path, meta: dict | None = None) -> None:
     dump_json(Path(path), report.to_dict(), meta)
-
-
-def read_report(path) -> MetricReport:
-    d = load_json(Path(path))
-    d.pop("_meta", None)
-    return MetricReport.from_dict(d)
 
 
 # -- cross-validation --------------------------------------------------------
@@ -236,8 +216,10 @@ def simulate_missing_rpf(
     Reference communities come from one profile clustering over all readers,
     weighted like the pipeline's (`cluster_profiles`), so per-fold
     predictions share a single label space and a perfect classifier
-    reproduces the full-profile run exactly. The report's extras
-    carry the prediction accuracy and confusion counts.
+    reproduces the full-profile run exactly. A reader fold that holds every
+    reader of a reference community raises ValueError: the classifier would
+    have no example of that community. The report's extras carry the
+    prediction accuracy and confusion counts.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0,1], got {fraction}")
@@ -262,6 +244,11 @@ def simulate_missing_rpf(
         if not held:
             continue
         known = {r: c for r, c in reference.items() if r not in held}
+        emptied = sorted(set(reference.values()) - set(known.values()))
+        if emptied:
+            raise ValueError(f"reader fold {f} holds every reader of reference "
+                             f"community {emptied[0]}; the classifier has no "
+                             f"example of it")
         model = fit_behavior_classifier(fm, known, classifier_groups, lam)
         for r, c in predict_behavior(fm, model, known, classifier_groups).items():
             predicted[r] = c

@@ -50,9 +50,6 @@ class LocationClusterModel:
     k_loc: int
     centers: dict[str, list[tuple[int, float, float]]] = field(default_factory=dict)
 
-    def n_clusters(self, paper_id: str) -> int:
-        return len(self.centers.get(paper_id, ()))
-
     def assign(self, paper_id: str, page: int, bbox: tuple[float, float, float, float]) -> int:
         clusters = self.centers.get(paper_id)
         if not clusters:
@@ -73,10 +70,6 @@ class LocationClusterModel:
             "k_loc": self.k_loc,
             "centers": {p: [list(c) for c in cs] for p, cs in sorted(self.centers.items())},
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LocationClusterModel":
-        return cls(d["k_loc"], {p: [tuple(c) for c in cs] for p, cs in d["centers"].items()})
 
 
 def build_location_clusters(corpus: Corpus, k_loc: int = 10, seed: int = 0) -> LocationClusterModel:
@@ -128,9 +121,6 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self._row = {r: i for i, r in enumerate(self.reader_ids)}
-
-    def row_index(self, reader_id: str) -> int:
-        return self._row[reader_id]
 
     def group(self, name: str) -> FeatureGroup:
         if name not in self.groups:
@@ -271,8 +261,6 @@ class UnifiedVectors:
 
     reader_ids: tuple[str, ...]
     X: np.ndarray
-    group_slices: dict[str, tuple[int, int]]
-    flagged_missing_rpf: tuple[str, ...] = ()
 
 
 def combine_groups(
@@ -281,10 +269,8 @@ def combine_groups(
     weights: dict[str, float] | None = None,
 ) -> UnifiedVectors:
     """L2-normalize each group row-wise (zero rows stay zero), scale by the
-    group weight, and concatenate in GROUP_ORDER.
-
-    Readers with has_rpf False are flagged when an RPF group is requested;
-    their RPF cells remain zero rather than being treated as observed.
+    group weight, and concatenate in GROUP_ORDER. Readers with has_rpf
+    False keep zero RPF cells.
     """
     if not included_groups:
         raise ValueError("included_groups must be nonempty")
@@ -298,21 +284,13 @@ def combine_groups(
 
     ordered = [g for g in GROUP_ORDER if g in included_groups]
     blocks = []
-    slices: dict[str, tuple[int, int]] = {}
-    offset = 0
     for name in ordered:
         M = fm.groups[name].matrix.astype(np.float64)
         norms = np.linalg.norm(M, axis=1, keepdims=True)
         normalized = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
         blocks.append(normalized * weights.get(name, 1.0))
-        slices[name] = (offset, offset + M.shape[1])
-        offset += M.shape[1]
     X = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(fm.reader_ids), 0))
-
-    flagged = ()
-    if any(g in RPF_GROUPS for g in ordered):
-        flagged = tuple(r for r in fm.reader_ids if not fm.has_rpf[r])
-    return UnifiedVectors(fm.reader_ids, X, slices, flagged)
+    return UnifiedVectors(fm.reader_ids, X)
 
 
 # -- features.json --------------------------------------------------------

@@ -104,21 +104,6 @@ class SimResult:
     latent: dict[str, int]  # reader_id -> planted community
     graph: HetGraph
 
-    def reply_components(self) -> int:
-        """Connected components of the reply graph (isolated readers count)."""
-        parent = {r: r for r in self.corpus.readers}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pair in self.corpus.reply_pairs():
-            a, b = sorted(pair)
-            parent[find(a)] = find(b)
-        return len({find(r) for r in parent})
-
 
 class _Gen:
     def __init__(self, config: SimConfig):
@@ -394,13 +379,3 @@ def write_simulation(config: SimConfig, result: SimResult, out_dir,
     write_metapaths(default_metapaths(), out / "metapaths.json")
     dump_json(out / "sim_config.json", config.to_dict(),
               meta={"config_hash": stable_hash(config.to_dict()), "seed": config.seed})
-
-
-def read_latent(path) -> dict[str, int]:
-    latent = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        reader, community = raw.split("\t")
-        latent[reader] = int(community)
-    return latent

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from oerrec.cli import main as cli_main
-from oerrec.community import cluster_readers, pairwise_cluster_eval
+from oerrec.community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
+                              pairwise_cluster_eval)
 from oerrec.evaluation import cross_validate_ranking, simulate_missing_rpf
-from oerrec.features import RBF_GROUPS, RPF_GROUPS, combine_groups, extract_features
+from oerrec.features import RPF_GROUPS, extract_features
 from oerrec.hetgraph import (
     EDGE_SCHEMA,
     HetGraph,
@@ -265,8 +266,7 @@ def sim_family():
         extractor = RankFeatureExtractor(
             result.graph, default_metapaths(), result.corpus.oers)
         queries = build_query_features(result.corpus, extractor)
-        assignment = cluster_readers(
-            combine_groups(fm, RPF_GROUPS), 3, seed=seed).assignment
+        assignment = cluster_profiles(fm, 3, seed=seed).assignment
         per_seed.append({"seed": seed, "fm": fm, "queries": queries,
                          "names": extractor.feature_names,
                          "assignment": assignment})
@@ -312,11 +312,10 @@ def test_c7_predicted_communities_preserve_the_ranking_win():
 # -- 8: profile features beat behavior features on reply ground truth ----------
 
 SPARSE_BEHAVIOR = {"events_per_reader": 3.0, "queries_per_reader": 2.0}
-BEHAVIOR_GROUPS = tuple(g for g in RBF_GROUPS if g != "ReplyRelation")
 
 
 def reply_f1(corpus, fm, groups, seed):
-    assignment = cluster_readers(combine_groups(fm, groups), 3, seed=seed).assignment
+    assignment = cluster_profiles(fm, 3, seed=seed, groups=groups).assignment
     return pairwise_cluster_eval(assignment, corpus.reply_pairs())["f1"]
 
 
@@ -326,7 +325,7 @@ def test_c8_profile_clusters_beat_behavior_clusters_on_reply_pairs():
         result = generate(SimConfig(seed=seed, **SPARSE_BEHAVIOR))
         fm = extract_features(result.corpus)
         f1_profile = reply_f1(result.corpus, fm, RPF_GROUPS, seed)
-        f1_behavior = reply_f1(result.corpus, fm, BEHAVIOR_GROUPS, seed)
+        f1_behavior = reply_f1(result.corpus, fm, DEFAULT_CLASSIFIER_GROUPS, seed)
         if f1_profile > f1_behavior:
             wins += 1
     assert wins >= MIN_WINS, wins

@@ -1,5 +1,7 @@
-"""Reader clustering, pairwise evaluation, and the two-step assignment."""
+"""Reader clustering, pairwise evaluation, and the CLI's two-step
+assignment of readers without a profile."""
 
+import json
 import random
 
 import pytest
@@ -10,12 +12,14 @@ from oerrec.community import (
     cluster_readers,
     pairwise_cluster_eval,
     read_communities,
-    two_step_assign,
     write_communities,
 )
-from oerrec.corpus import Corpus, ReaderProfile, parse_corpus
-from oerrec.features import RPF_GROUPS, combine_groups, extract_features
+from oerrec.cli import main as cli_main
+from oerrec.corpus import Corpus, ReaderProfile, parse_corpus, write_corpus
+from oerrec.features import (RPF_GROUPS, combine_groups, extract_features,
+                             features_from_dict)
 from oerrec.simgen import SimConfig, generate
+from oerrec.util import fork_seed, load_json
 from oracles import oracle_kmedoids_best, oracle_pairwise_eval
 
 
@@ -41,7 +45,6 @@ class TestClusterReaders:
         model = cluster_readers(toy_vectors, 2, seed=1)
         for c, reader in enumerate(model.medoid_reader_ids):
             assert model.assignment[reader] == c
-            assert reader in model.members(c)
 
     def test_invariant_to_corpus_stream_order(self, toy_streams):
         def assignment(event_lines):
@@ -116,65 +119,92 @@ def strip_profiles(corpus: Corpus, readers_to_strip) -> Corpus:
     return Corpus(readers, dict(corpus.events), dict(corpus.oers), dict(corpus.queries))
 
 
+TWO_STEP_STAGES = ("ingest", "featurize", "cluster",
+                   "train-community-classifier", "assign")
+TWO_STEP_SEED = 1  # a seed at which the RPF-TB weight moves the clustering
+
+
+def run_two_step(corpus_dir, out, *extra):
+    """The CLI's two-step chain; only ingest and featurize read --in."""
+    for stage in TWO_STEP_STAGES:
+        src = ["--in", str(corpus_dir)] if stage in ("ingest", "featurize") else []
+        argv = [stage, *src, "--out", str(out), "--seed", str(TWO_STEP_SEED), *extra]
+        assert cli_main(argv) == 0, stage
+    return read_communities(out / "communities.tsv")
+
+
 @pytest.fixture(scope="module")
-def sim():
+def sim(tmp_path_factory):
+    """A corpus with every fourth reader's profile stripped, written to disk
+    and run through the chain; yields the generator result, the stripped
+    corpus, the chain's features and its communities.tsv."""
     result = generate(SimConfig(n_readers=18, seed=4))
     stripped = strip_profiles(result.corpus, sorted(result.latent)[::4])
-    fm = extract_features(stripped, seed=1)
-    return result, stripped, fm
+    corpus_dir = tmp_path_factory.mktemp("stripped")
+    write_corpus(stripped, corpus_dir)
+    out = tmp_path_factory.mktemp("two-step")
+    assignment, source = run_two_step(corpus_dir, out)
+    d = load_json(out / "features.json")
+    d.pop("_meta")
+    return result, stripped, features_from_dict(d), assignment, source, corpus_dir
 
 
 class TestTwoStep:
     def test_every_reader_assigned_with_source(self, sim):
-        result, stripped, fm = sim
-        ts = two_step_assign(fm, k=3, seed=2)
-        assert set(ts.assignment) == set(stripped.readers)
+        _, stripped, _, assignment, source, _ = sim
+        assert set(assignment) == set(stripped.readers)
         clustered = {r for r, p in stripped.readers.items() if p.has_rpf}
-        assert {r for r, s in ts.source.items() if s == "clustered"} == clustered
-        assert {r for r, s in ts.source.items() if s == "predicted"} == (
+        assert {r for r, s in source.items() if s == "clustered"} == clustered
+        assert {r for r, s in source.items() if s == "predicted"} == (
             set(stripped.readers) - clustered
         )
-        assert all(0 <= c < 3 for c in ts.assignment.values())
+        assert all(0 <= c < 3 for c in assignment.values())
 
     def test_clustered_part_matches_plain_clustering(self, sim):
-        result, stripped, fm = sim
-        ts = two_step_assign(fm, k=3, seed=2)
+        _, stripped, fm, assignment, _, _ = sim
         with_rpf = sorted(r for r, p in stripped.readers.items() if p.has_rpf)
         direct = cluster_readers(
-            combine_groups(fm.subset_readers(with_rpf), RPF_GROUPS), 3, seed=2
+            combine_groups(fm.subset_readers(with_rpf), RPF_GROUPS), 3,
+            seed=fork_seed(TWO_STEP_SEED, "cluster"),
         )
-        assert {r: ts.assignment[r] for r in with_rpf} == direct.assignment
+        assert {r: assignment[r] for r in with_rpf} == direct.assignment
 
-    def test_group_weights_reach_the_clustering(self, sim):
-        _, _, fm = sim
+    def test_group_weights_reach_the_clustering(self, sim, tmp_path):
+        _, _, fm, _, _, corpus_dir = sim
         weights = {"RPF-TB": 5.0}
-        ts = two_step_assign(fm, k=3, seed=2, group_weights=weights)
-        weighted = cluster_profiles(fm, 3, seed=2, weights=weights).assignment
-        assert {r: ts.assignment[r] for r in weighted} == weighted
-        assert weighted != cluster_profiles(fm, 3, seed=2).assignment
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"group_weights": weights}))
+        assignment, source = run_two_step(
+            corpus_dir, tmp_path / "out", "--config", str(config))
+        seed = fork_seed(TWO_STEP_SEED, "cluster")
+        weighted = cluster_profiles(fm, 3, seed=seed, weights=weights).assignment
+        assert {r: c for r, c in assignment.items()
+                if source[r] == "clustered"} == weighted
+        assert weighted != cluster_profiles(fm, 3, seed=seed).assignment
 
-    def test_deterministic(self, sim):
-        _, _, fm = sim
-        a = two_step_assign(fm, k=3, seed=2)
-        b = two_step_assign(fm, k=3, seed=2)
-        assert a.assignment == b.assignment
+    def test_deterministic(self, sim, tmp_path):
+        *_, corpus_dir = sim
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_two_step(corpus_dir, a)
+        run_two_step(corpus_dir, b)
+        assert ((a / "communities.tsv").read_bytes()
+                == (b / "communities.tsv").read_bytes())
 
     def test_predictions_recover_latent_structure(self, sim):
         # The classifier should map most held-out readers to the community
         # that holds the rest of their latent group.
-        result, stripped, fm = sim
-        ts = two_step_assign(fm, k=3, seed=2)
+        result, _, _, assignment, source, _ = sim
         agree = 0
-        predicted = [r for r, s in ts.source.items() if s == "predicted"]
+        predicted = [r for r, s in source.items() if s == "predicted"]
         for r in predicted:
             mates = [
-                x for x in ts.assignment
+                x for x in assignment
                 if x != r and result.latent[x] == result.latent[r]
-                and ts.source[x] == "clustered"
+                and source[x] == "clustered"
             ]
-            votes = [ts.assignment[x] for x in mates]
+            votes = [assignment[x] for x in mates]
             majority = max(set(votes), key=votes.count)
-            agree += ts.assignment[r] == majority
+            agree += assignment[r] == majority
         assert agree / len(predicted) >= 0.8
 
 

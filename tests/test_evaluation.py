@@ -1,6 +1,7 @@
 """Cross-validated ranking evaluation and the missing-profile simulation."""
 
 import dataclasses
+import json
 import multiprocessing
 import os
 
@@ -15,7 +16,6 @@ from oerrec.evaluation import (
     cross_validate_ranking,
     make_folds,
     query_metrics,
-    read_report,
     simulate_missing_rpf,
     write_report,
 )
@@ -27,7 +27,7 @@ from oerrec.rankfeatures import (
     build_query_features,
 )
 from oerrec.simgen import SimConfig, generate
-from oerrec.util import fork_seed
+from oerrec.util import fork_seed, load_json
 from oracles import oracle_ap, oracle_mrr, oracle_ndcg, oracle_sign_test
 
 
@@ -97,7 +97,7 @@ class TestMetricReport:
 
     def test_counts(self):
         report = report_from_gains(self.GAINS)
-        assert report.systems == ("communitized", "global")
+        assert tuple(report.per_query) == ("communitized", "global")
         assert report.n_evaluated == 4
         assert report.n_total == 4
         report.skipped = ("qz",)
@@ -140,9 +140,9 @@ class TestMetricReport:
         report.settings = {"folds": 2}
         path = tmp_path / "report.json"
         write_report(report, path, meta={"config_hash": "h", "seed": 0})
-        again = read_report(path)
-        assert again.to_dict() == report.to_dict()
-        assert '"_meta"' in path.read_text()
+        again = load_json(path)
+        assert again.pop("_meta") == {"config_hash": "h", "seed": 0}
+        assert again == json.loads(json.dumps(report.to_dict()))
 
     def test_report_bytes_are_stable(self, tmp_path):
         report = report_from_gains(self.GAINS)
@@ -254,7 +254,7 @@ class TestCrossValidateRanking:
 
     def test_means_recomputable_from_per_query(self, run):
         _, report = run
-        for system in report.systems:
+        for system in report.per_query:
             rows = report.per_query[system].values()
             assert report.means(system)["map@5"] == pytest.approx(
                 np.mean([r["map@5"] for r in rows]), abs=1e-12
@@ -287,6 +287,17 @@ def clean_sim():
     )
     queries = build_query_features(result.corpus, extractor)
     return fm, queries, extractor.feature_names
+
+
+def default_sim(seed, n_readers):
+    """Features and judged queries of a small default corpus."""
+    result = generate(SimConfig(seed=seed, n_readers=n_readers))
+    extractor = RankFeatureExtractor(
+        result.graph, default_metapaths(), result.corpus.oers
+    )
+    return (extract_features(result.corpus),
+            build_query_features(result.corpus, extractor),
+            extractor.feature_names)
 
 
 class TestSimulateMissingRpf:
@@ -366,3 +377,15 @@ class TestSimulateMissingRpf:
             report.extras["predicted_assignment"]
             == report.extras["reference_assignment"]
         )
+
+    # Seed 3: fold 0 holds all of community 0, which the classifier could
+    # only report as "classes without examples: [0]". Seed 16: fold 1 holds
+    # all of community 2, the highest index, so a classifier fitted without
+    # it would silently know two classes, not three.
+    @pytest.mark.parametrize("seed, fold, community", [(3, 0, 0), (16, 1, 2)])
+    def test_fold_holding_a_whole_community_is_named(self, seed, fold, community):
+        fm, queries, names = default_sim(seed=seed, n_readers=12)
+        match = rf"reader fold {fold} .* community {community};"
+        with pytest.raises(ValueError, match=match):
+            simulate_missing_rpf(fm, queries, names, fraction=0.5, folds=2,
+                                 seed=seed, cv_folds=2, restarts=1)

@@ -44,7 +44,7 @@ class TestLocationClusters:
             for i in range(5)
         ]
         model = build_location_clusters(parse_corpus(lines), k_loc=4)
-        assert model.n_clusters("p1") == 1
+        assert len(model.centers["p1"]) == 1
 
     def test_zero_events_empty_model(self):
         model = build_location_clusters(parse_corpus([]), k_loc=3)
@@ -60,7 +60,7 @@ class TestLocationClusters:
         ]
         corpus = parse_corpus(lines)
         model = build_location_clusters(corpus, k_loc=2)
-        assert model.n_clusters("p1") == 2
+        assert len(model.centers["p1"]) == 2
         assigned = [
             model.assign("p1", 0 if i < 3 else 9, bb) for i, bb in enumerate(bbs)
         ]
@@ -83,8 +83,8 @@ class TestLocationClusters:
 
     def test_cluster_count_capped_by_distinct_points(self, toy_corpus):
         model = build_location_clusters(toy_corpus, k_loc=10)
-        assert model.n_clusters("p1") == 3  # three distinct quote locations
-        assert model.n_clusters("p2") == 1
+        assert len(model.centers["p1"]) == 3  # three distinct quote locations
+        assert len(model.centers["p2"]) == 1
 
     def test_deterministic_for_seed(self, toy_corpus):
         a = build_location_clusters(toy_corpus, k_loc=2, seed=5)
@@ -92,10 +92,11 @@ class TestLocationClusters:
         assert a.centers == b.centers
 
     def test_round_trip_dict(self, toy_corpus):
+        # features.json carries the model as its settings["location_model"]
         model = build_location_clusters(toy_corpus, k_loc=2)
-        again = model.from_dict(model.to_dict())
-        assert again.centers == model.centers
-        assert again.k_loc == model.k_loc
+        d = json.loads(json.dumps(model.to_dict()))
+        assert d["k_loc"] == model.k_loc
+        assert {p: [tuple(c) for c in cs] for p, cs in d["centers"].items()} == model.centers
 
 
 class TestExtractFeatures:
@@ -195,7 +196,7 @@ class TestExtractFeatures:
             toy_streams["oers"], toy_streams["judgments"],
         )
         fm = extract_features(corpus, k_loc=2)
-        i = fm.row_index("r4")
+        i = fm.reader_ids.index("r4")
         for name in RBF_GROUPS:
             assert not fm.group(name).matrix[i].any()
 
@@ -281,22 +282,20 @@ class TestCombineGroups:
         )
         fm = extract_features(corpus, k_loc=2)
         uv = combine_groups(fm, RPF_GROUPS)
-        i, j = fm.row_index("r2"), fm.row_index("r9")
+        i, j = fm.reader_ids.index("r2"), fm.reader_ids.index("r9")
         assert np.array_equal(uv.X[i], uv.X[j])
 
-    def test_missing_rpf_readers_flagged(self, toy_corpus):
+    def test_missing_rpf_readers_keep_zero_rpf_cells(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
         uv = combine_groups(fm, RPF_GROUPS)
-        assert uv.flagged_missing_rpf == ("r3",)
-        uv_rbf = combine_groups(fm, ("QuoteText",))
-        assert uv_rbf.flagged_missing_rpf == ()
+        assert not fm.has_rpf["r3"]
+        assert not uv.X[fm.reader_ids.index("r3")].any()
 
-    def test_group_slices_follow_canonical_order(self, toy_corpus):
+    def test_groups_concatenate_in_canonical_order(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
         uv = combine_groups(fm, ("QuoteText", "RPF-C"))
-        assert list(uv.group_slices) == ["RPF-C", "QuoteText"]
-        start, end = uv.group_slices["RPF-C"]
-        assert (start, end) == (0, 2)
+        expected = [combine_groups(fm, (g,)).X for g in ("RPF-C", "QuoteText")]
+        assert np.array_equal(uv.X, np.concatenate(expected, axis=1))
 
     def test_rejects_empty_or_unknown_groups(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)

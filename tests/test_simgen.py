@@ -16,7 +16,6 @@ from oerrec.community import cluster_readers, pairwise_cluster_eval
 from oerrec.simgen import (
     SimConfig,
     generate,
-    read_latent,
     write_simulation,
 )
 
@@ -144,7 +143,17 @@ class TestSeparationAtAlphaOne:
 
     def test_reply_components_equal_community_count(self):
         result = generate(self.CFG)
-        assert result.reply_components() == 3
+        parent = {r: r for r in result.corpus.readers}  # union-find
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for pair in result.corpus.reply_pairs():
+            a, b = sorted(pair)
+            parent[find(a)] = find(b)
+        assert len({find(r) for r in parent}) == 3
 
     def test_profile_clustering_recovers_planted_labels(self):
         result = generate(self.CFG)
@@ -170,11 +179,11 @@ class TestArtifacts:
 
     def test_latent_file_round_trips(self, tmp_path):
         write_simulation(SMALL, generate(SMALL), tmp_path, comment="hello")
-        latent = read_latent(tmp_path / "latent.tsv")
-        assert latent == generate(SMALL).latent
         lines = (tmp_path / "latent.tsv").read_text().splitlines()
         assert lines[0] == "# reader_id\tcommunity"
         assert lines[1] == "# hello"
+        rows = [line.split("\t") for line in lines[2:]]
+        assert {r: int(c) for r, c in rows} == generate(SMALL).latent
 
     def test_corpus_streams_byte_match_in_memory_serialization(self, tmp_path):
         write_simulation(SMALL, generate(SMALL), tmp_path)
@@ -188,8 +197,3 @@ class TestArtifacts:
         assert '"_meta"' in text
         assert '"config_hash"' in text
         assert f'"seed": {SMALL.seed}' in text
-
-    def test_read_latent_skips_blank_and_comment_lines(self, tmp_path):
-        path = tmp_path / "latent.tsv"
-        path.write_text("# header\n\nr1\t0\n# note\nr2\t1\n")
-        assert read_latent(path) == {"r1": 0, "r2": 1}
