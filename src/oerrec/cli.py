@@ -89,10 +89,7 @@ def stage_featurize(cfg: PipelineConfig) -> str:
 
 
 def _load_features(cfg: PipelineConfig) -> features.FeatureMatrix:
-    path = Path(cfg.out_dir) / "features.json"
-    d = load_json(path)
-    d.pop("_meta", None)
-    return features.features_from_dict(d)
+    return features.features_from_dict(load_json(Path(cfg.out_dir) / "features.json"))
 
 
 def stage_cluster(cfg: PipelineConfig) -> str:
@@ -133,10 +130,9 @@ def stage_assign(cfg: PipelineConfig) -> str:
     fm = _load_features(cfg)
     out = Path(cfg.out_dir)
     assignment, source = community_mod.read_communities(out / "communities.tsv")
-    d = load_json(out / "maxent.json")
-    d.pop("_meta", None)
-    predicted = community_mod.predict_behavior(
-        fm, maxent.MaxEntModel.from_dict(d), assignment, cfg.classifier_groups)
+    model = maxent.MaxEntModel.from_dict(load_json(out / "maxent.json"))
+    predicted = community_mod.predict_behavior(fm, model, assignment,
+                                               cfg.classifier_groups)
     assignment.update(predicted)
     source.update({r: "predicted" for r in predicted})
     community_mod.write_communities(out / "communities.tsv", assignment, source,

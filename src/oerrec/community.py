@@ -10,14 +10,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .features import FeatureMatrix, RBF_GROUPS, RPF_GROUPS, UnifiedVectors, combine_groups
 from .kmedoids import kmedoids
 from .maxent import MaxEntModel, predict_batch, train_maxent
-from .util import atomic_write_text, rng_for
+from .util import read_tsv, rng_for, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -123,21 +122,12 @@ def predict_behavior(
 
 def write_communities(path, assignment: dict[str, int], source: dict[str, str],
                       comment: str | None = None) -> None:
-    lines = ["# reader_id\tcommunity\tsource"]
-    if comment:
-        lines.append(f"# {comment}")
-    for reader in sorted(assignment):
-        lines.append(f"{reader}\t{assignment[reader]}\t{source.get(reader, 'clustered')}")
-    atomic_write_text(Path(path), "".join(line + "\n" for line in lines))
+    write_tsv(path, ("reader_id", "community", "source"),
+              ((r, assignment[r], source.get(r, "clustered")) for r in sorted(assignment)),
+              comment)
 
 
 def read_communities(path) -> tuple[dict[str, int], dict[str, str]]:
-    assignment: dict[str, int] = {}
-    source: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        reader, community, src = raw.split("\t")
-        assignment[reader] = int(community)
-        source[reader] = src
-    return assignment, source
+    rows: list[tuple[str, int, str]] = []
+    read_tsv(path, 3, lambda reader, c, src: rows.append((reader, int(c), src)))
+    return {r: c for r, c, _ in rows}, {r: src for r, _, src in rows}

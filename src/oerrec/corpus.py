@@ -111,9 +111,6 @@ class Corpus:
     oers: dict[str, OerItem] = field(default_factory=dict)
     queries: dict[str, JudgedQuery] = field(default_factory=dict)
 
-    def reader_ids(self) -> list[str]:
-        return sorted(self.readers)
-
     def reply_exchanges(self) -> Iterator[tuple[str, str]]:
         """(replier, replied-to reader) for every reply, in event order, whose
         target exists and belongs to a different reader."""

@@ -279,6 +279,9 @@ def combine_groups(
         raise KeyError(f"unknown feature groups {unknown}")
     weights = weights or {}
     for g, w in weights.items():
+        if g not in included_groups:
+            raise ValueError(f"group weight for {g!r}, which is not among the "
+                             f"groups combined: {list(included_groups)}")
         if w <= 0:
             raise ValueError(f"group weight for {g!r} must be positive, got {w}")
 

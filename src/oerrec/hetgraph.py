@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import OerType
-from .util import atomic_write_text, dump_json, load_json
+from .util import dump_json, load_json, read_tsv, write_tsv
 
 VERTEX_TYPES = ("paper", "topic", "oer")
 
@@ -75,11 +75,6 @@ class HetGraph:
             return sorted(self.vertex_type)
         return sorted(v for v, t in self.vertex_type.items() if t == vtype)
 
-    def oer_type(self, vertex_id: str) -> str:
-        if self.vertex_type.get(vertex_id) != "oer":
-            raise KeyError(f"{vertex_id!r} is not an OER vertex")
-        return self.payload[vertex_id]
-
 
 @dataclass(frozen=True)
 class PathStep:
@@ -111,9 +106,6 @@ class MetaPath:
                     raise GraphSchemaError("oer_type constraint on a non-OER step")
                 OerType(step.oer_type)
             prev_to = step.to
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     @property
     def source_type(self) -> str | None:
@@ -207,32 +199,19 @@ def default_metapaths() -> list[MetaPath]:
 
 def write_graph(graph: HetGraph, vertices_path, edges_path,
                 comment: str | None = None) -> None:
-    v_lines = ["# id\ttype\tpayload"]
-    e_lines = ["# src\tedge_type\tdst"]
-    if comment:
-        v_lines.append(f"# {comment}")
-        e_lines.append(f"# {comment}")
-    for v in graph.vertices():
-        v_lines.append(f"{v}\t{graph.vertex_type[v]}\t{graph.payload[v]}")
-    for (src, etype) in sorted(graph._adj):
-        for dst in sorted(graph._adj[(src, etype)]):
-            e_lines.append(f"{src}\t{etype}\t{dst}")
-    atomic_write_text(Path(vertices_path), "".join(line + "\n" for line in v_lines))
-    atomic_write_text(Path(edges_path), "".join(line + "\n" for line in e_lines))
+    write_tsv(vertices_path, ("id", "type", "payload"),
+              ((v, graph.vertex_type[v], graph.payload[v]) for v in graph.vertices()),
+              comment)
+    write_tsv(edges_path, ("src", "edge_type", "dst"),
+              ((src, etype, dst) for (src, etype) in sorted(graph._adj)
+               for dst in sorted(graph._adj[(src, etype)])),
+              comment)
 
 
 def read_graph(vertices_path, edges_path) -> HetGraph:
     graph = HetGraph()
-    for raw in Path(vertices_path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        vertex_id, vtype, payload = raw.split("\t")
-        graph.add_vertex(vertex_id, vtype, payload)
-    for raw in Path(edges_path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        src, etype, dst = raw.split("\t")
-        graph.add_edge(src, etype, dst)
+    read_tsv(vertices_path, 3, graph.add_vertex)
+    read_tsv(edges_path, 3, graph.add_edge)
     return graph
 
 

@@ -50,7 +50,6 @@ class KMedoidsResult:
     assignment: np.ndarray  # (n,) community index in [0, k)
     cost: float  # summed distance of every point to its medoid
     n_swaps: int
-    metric: str
 
 
 def _assign(D: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -118,4 +117,4 @@ def kmedoids(
         n_swaps += 1
 
     assignment, dists = _assign(D, medoids)
-    return KMedoidsResult(tuple(medoids), assignment, float(dists.sum()), n_swaps, metric)
+    return KMedoidsResult(tuple(medoids), assignment, float(dists.sum()), n_swaps)

@@ -114,6 +114,8 @@ def coordinate_ascent_train(
     mean metric by more than 1e-5; the best restart wins, first restart and
     uniform weights coming first.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     trainable = [q for q in queries if (q.gains > 0).any()]
     if not trainable:
         raise ValueError("untrainable: no query with a positive gain")
@@ -333,9 +335,7 @@ def write_model(model: RankingModel, path, meta: dict | None = None) -> None:
 
 
 def read_model(path) -> RankingModel:
-    d = load_json(Path(path))
-    d.pop("_meta", None)
-    return RankingModel.from_dict(d)
+    return RankingModel.from_dict(load_json(Path(path)))
 
 
 def write_rankerset(rset: CommunityRankerSet, out_dir, meta: dict | None = None) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from .corpus import (Corpus, EventKind, Grade, JudgedQuery, OerItem, OerType,
                      ReaderProfile, ReadingEvent, write_corpus)
 from .hetgraph import HetGraph, default_metapaths, write_graph, write_metapaths
-from .util import atomic_write_text, dump_json, fork_seed, stable_hash
+from .util import dump_json, fork_seed, stable_hash, write_tsv
 
 N_PAGES = 10
 COMMUNITY_COURSES = 3
@@ -370,11 +370,8 @@ def write_simulation(config: SimConfig, result: SimResult, out_dir,
     out = Path(out_dir)
     write_corpus(result.corpus, out)
 
-    latent_lines = ["# reader_id\tcommunity"]
-    if comment:
-        latent_lines.append(f"# {comment}")
-    latent_lines += [f"{r}\t{c}" for r, c in sorted(result.latent.items())]
-    atomic_write_text(out / "latent.tsv", "".join(line + "\n" for line in latent_lines))
+    write_tsv(out / "latent.tsv", ("reader_id", "community"),
+              sorted(result.latent.items()), comment)
     write_graph(result.graph, out / "vertices.tsv", out / "edges.tsv", comment)
     write_metapaths(default_metapaths(), out / "metapaths.json")
     dump_json(out / "sim_config.json", config.to_dict(),

@@ -1,4 +1,5 @@
-"""Seed forking, stable hashing and atomic file writes shared by all stages."""
+"""Seed forking, stable hashing, atomic file writes and the JSON and
+tab-separated artifact formats shared by all stages."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,4 +57,36 @@ def dump_json(path: str | Path, obj: Any, meta: dict | None = None) -> None:
 
 def load_json(path: str | Path) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_tsv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence],
+              comment: str | None = None) -> None:
+    """A `# columns` line, an optional `# comment` line, then one
+    tab-joined line per row."""
+    lines = ["# " + "\t".join(columns)]
+    if comment:
+        lines.append(f"# {comment}")
+    lines += ["\t".join(map(str, row)) for row in rows]
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+
+
+def read_tsv(path: str | Path, n_columns: int, row: Callable[..., Any]) -> None:
+    """Call row(*fields) for each line of a `write_tsv` file but blank and
+    `#` lines. A ValueError raised while a line is handled, a wrong column
+    count included, is re-raised with `<file name>:<line>: ` in front."""
+    path = Path(path)
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        try:
+            if len(fields) != n_columns:
+                raise ValueError(f"expected {n_columns} tab-separated columns, "
+                                 f"got {len(fields)}")
+            row(*fields)
+        except ValueError as exc:
+            raise ValueError(f"{path.name}:{line_no}: {exc}") from exc

@@ -120,6 +120,31 @@ class TestErrors:
                                                              "rankfeat.json"]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    @pytest.mark.parametrize("argv", [["train-ranker", "--restarts", "0"],
+                                      ["evaluate", "--restarts", "0"],
+                                      ["evaluate", "--restarts", "-2"]],
+                             ids=["train-ranker-0", "evaluate-0", "evaluate-minus-2"])
+    def test_restarts_below_one_rejected(self, pipeline_dir, tmp_path, monkeypatch,
+                                         capsys, argv, cpus):
+        for name in ("rankfeat.json", "communities.tsv"):
+            shutil.copy(pipeline_dir / name, tmp_path / name)
+        monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
+        assert run_cli([*argv, "--out", tmp_path, "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: restarts must be >= 1, got {argv[-1]}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["communities.tsv",
+                                                             "rankfeat.json"]
+        assert multiprocessing.active_children() == []
+
+    def test_broken_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1,\n "k_loc": }\n')
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: Expecting value: line 2 column 11")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # run bookkeeping is set by the CLI, never by a config file
@@ -143,6 +168,34 @@ class TestFailureKeepsEarlierRun:
         before = snapshot(run)
         assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("name, row, argv, message", [
+        ("vertices.tsv", "p99\tpaper", ["graph-build"],
+         "expected 3 tab-separated columns, got 2"),
+        ("edges.tsv", "p00\tabout\tnope", ["graph-build"],
+         "edge endpoint 'nope' is not a vertex"),
+        ("communities.tsv", "r999\tx\tclustered", ["train-ranker"],
+         "invalid literal for int() with base 10: 'x'"),
+    ], ids=["short-vertex", "unknown-endpoint", "non-integer-community"])
+    def test_malformed_row_names_its_file_and_line(self, run, capsys, name, row,
+                                                   argv, message):
+        with open(run / name, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        line = len((run / name).read_text().splitlines())
+        before = snapshot(run)
+        assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {name}:{line}: {message}\n"
+        assert snapshot(run) == before
+
+    def test_weight_of_a_group_not_clustered_rejected(self, run, tmp_path, capsys):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({"group_weights": {"RPF-T": 5.0}}))
+        before = snapshot(run)
+        assert run_cli(["cluster", "--config", cfg, "--out", run, "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: group weight for 'RPF-T'")
+        assert "['RPF-C', 'RPF-TB']" in err
         assert snapshot(run) == before
 
     def test_inconsistent_corpus_keeps_validation_only(self, tmp_path, capsys):

@@ -304,6 +304,12 @@ class TestCombineGroups:
         with pytest.raises(KeyError):
             combine_groups(fm, ("NoSuchGroup",))
 
+    def test_rejects_weight_of_a_group_not_combined(self):
+        with pytest.raises(ValueError, match=r"'RPF-TB'.*\['RPF-C'\]"):
+            combine_groups(
+                two_group_matrix(), ("RPF-C",), weights={"RPF-TB": 2.0}
+            )
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             combine_groups(

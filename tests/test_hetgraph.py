@@ -26,7 +26,7 @@ class TestGraphConstruction:
         with pytest.raises(GraphSchemaError):
             g.add_vertex("o1", "oer")
         g.add_vertex("o1", "oer", "video")
-        assert g.oer_type("o1") == "video"
+        assert g.payload["o1"] == "video"
 
     def test_unknown_vertex_type_rejected(self):
         with pytest.raises(GraphSchemaError):
