@@ -65,18 +65,14 @@ def stage_ingest(cfg: PipelineConfig) -> str:
     report = validate_corpus(corpus)
     out = Path(cfg.out_dir)
     # validation.json records the issues even when the corpus fails them
-    dump_json(out / "validation.json", {
-        "consistent": report.consistent,
-        "issues": [{"kind": i.kind, "message": i.message} for i in report.issues],
-        "event_counts": report.event_counts,
-    }, cfg.meta("ingest"))
-    if not report.consistent:
-        raise ValueError(f"corpus inconsistent: {len(report.issues)} issues "
+    dump_json(out / "validation.json", report, cfg.meta("ingest"))
+    if not report["consistent"]:
+        raise ValueError(f"corpus inconsistent: {len(report['issues'])} issues "
                          f"(see {out / 'validation.json'})")
     if Path(cfg.in_dir).resolve() != out.resolve():
         write_corpus(corpus, out)
     return (f"ingest: {len(corpus.readers)} readers, {len(corpus.events)} events, "
-            f"{len(corpus.queries)} queries, consistent={report.consistent}")
+            f"{len(corpus.queries)} queries, consistent={report['consistent']}")
 
 
 def stage_featurize(cfg: PipelineConfig) -> str:

@@ -128,6 +128,13 @@ def write_communities(path, assignment: dict[str, int], source: dict[str, str],
 
 
 def read_communities(path) -> tuple[dict[str, int], dict[str, str]]:
-    rows: list[tuple[str, int, str]] = []
-    read_tsv(path, 3, lambda reader, c, src: rows.append((reader, int(c), src)))
-    return {r: c for r, c, _ in rows}, {r: src for r, _, src in rows}
+    assignment: dict[str, int] = {}
+    source: dict[str, str] = {}
+
+    def row(reader: str, community: str, src: str) -> None:
+        if reader in assignment:
+            raise ValueError(f"reader {reader!r} listed twice")
+        assignment[reader], source[reader] = int(community), src
+
+    read_tsv(path, 3, row)
+    return assignment, source

@@ -3,8 +3,11 @@ file formats that carry them.
 
 Streams are line-delimited: ``readers.jsonl``, ``events.jsonl``,
 ``oers.jsonl`` (one JSON object per line) and ``judgments.tsv`` (one judged
-candidate per line). Record-local invariants are enforced at parse time;
-cross-record references are checked separately by :func:`validate_corpus`.
+candidate per line). Record-local invariants are enforced at parse time:
+each record parser sees one record and raises ``ValueError(reason)``, and
+the stream loop reports it as ``<stream>:<line>: <reason>``. Cross-record
+references are checked separately by :func:`validate_corpus`, which returns
+the ``validation.json`` document.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import enum
 import json
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator
+
+from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
 
@@ -126,134 +132,90 @@ class Corpus:
         return {frozenset(x) for x in self.reply_exchanges()}
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-    event_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.issues
-
-
 # -- parsing --------------------------------------------------------------
 
-_READER_KEYS = {"reader", "courses", "skills"}
-_EVENT_KEYS = {
-    "event", "kind", "reader", "paper", "page", "bbox",
-    "quote_text", "content_text", "target", "oer", "grade", "ts",
-}
-_OER_KEYS = {"oer", "type", "title", "body"}
-
-
-def _json_line(stream_name: str, line_no: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(stream_name, line_no, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(stream_name, line_no, "record is not a JSON object")
-    return obj
-
-
-def _warn_extra_keys(obj: dict, known: set[str], stream_name: str, line_no: int) -> None:
-    extra = sorted(set(obj) - known)
-    if extra:
-        log.warning("%s:%d: ignoring unknown fields %s", stream_name, line_no, extra)
-
-
-def _require(obj: dict, key: str, stream_name: str, line_no: int):
+def _require(obj: dict, key: str):
     if key not in obj:
-        raise CorpusFormatError(stream_name, line_no, f"missing field {key!r}")
+        raise ValueError(f"missing field {key!r}")
     return obj[key]
 
 
-def _parse_reader(obj: dict, stream_name: str, line_no: int) -> ReaderProfile:
-    reader_id = _require(obj, "reader", stream_name, line_no)
+def _parse_reader(obj: dict) -> ReaderProfile:
+    reader_id = _require(obj, "reader")
     if not isinstance(reader_id, str) or not reader_id:
-        raise CorpusFormatError(stream_name, line_no, "reader id must be a non-empty string")
+        raise ValueError("reader id must be a non-empty string")
     courses = obj.get("courses", [])
     skills = obj.get("skills", {})
     if not isinstance(courses, list) or not all(isinstance(c, str) for c in courses):
-        raise CorpusFormatError(stream_name, line_no, "courses must be a list of strings")
+        raise ValueError("courses must be a list of strings")
     if not isinstance(skills, dict):
-        raise CorpusFormatError(stream_name, line_no, "skills must be an object")
+        raise ValueError("skills must be an object")
     for name, level in skills.items():
         if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= 4:
-            raise CorpusFormatError(
-                stream_name, line_no,
-                f"skill {name!r} level {level!r} outside ordinal range 1..4")
-    _warn_extra_keys(obj, _READER_KEYS, stream_name, line_no)
+            raise ValueError(f"skill {name!r} level {level!r} outside ordinal range 1..4")
     has_rpf = bool(courses or skills)
     return ReaderProfile(reader_id, frozenset(courses), dict(skills), has_rpf)
 
 
-def _parse_bbox(raw, stream_name: str, line_no: int) -> tuple[float, float, float, float]:
+def _parse_bbox(raw) -> tuple[float, float, float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        raise CorpusFormatError(stream_name, line_no, "bbox must be four numbers")
+        raise ValueError("bbox must be four numbers")
     x0, y0, x1, y1 = (float(v) for v in raw)
     if not all(0.0 <= v <= 1.0 for v in (x0, y0, x1, y1)):
-        raise CorpusFormatError(stream_name, line_no, "bbox coordinates outside [0,1]")
+        raise ValueError("bbox coordinates outside [0,1]")
     if x0 > x1:
-        raise CorpusFormatError(stream_name, line_no, f"bbox violates x0<=x1 ({x0} > {x1})")
+        raise ValueError(f"bbox violates x0<=x1 ({x0} > {x1})")
     if y0 > y1:
-        raise CorpusFormatError(stream_name, line_no, f"bbox violates y0<=y1 ({y0} > {y1})")
+        raise ValueError(f"bbox violates y0<=y1 ({y0} > {y1})")
     return (x0, y0, x1, y1)
 
 
-def _parse_grade(raw, stream_name: str, line_no: int) -> Grade:
+def _parse_grade(raw) -> Grade:
     try:
         return Grade(raw)
     except ValueError:
         valid = ", ".join(g.value for g in Grade)
-        raise CorpusFormatError(stream_name, line_no, f"grade {raw!r} not one of {valid}") from None
+        raise ValueError(f"grade {raw!r} not one of {valid}") from None
 
 
-def _parse_event(obj: dict, stream_name: str, line_no: int) -> ReadingEvent:
-    event_id = _require(obj, "event", stream_name, line_no)
-    reader_id = _require(obj, "reader", stream_name, line_no)
-    paper_id = _require(obj, "paper", stream_name, line_no)
+def _parse_event(obj: dict) -> ReadingEvent:
+    event_id = _require(obj, "event")
+    reader_id = _require(obj, "reader")
+    paper_id = _require(obj, "paper")
     quote = obj.get("quote_text", "")
     content = obj.get("content_text", "")
     for name, value in (("event", event_id), ("reader", reader_id), ("paper", paper_id),
                         ("quote_text", quote), ("content_text", content)):
         if not isinstance(value, str):
-            raise CorpusFormatError(stream_name, line_no, f"{name} must be a string")
-    kind_raw = _require(obj, "kind", stream_name, line_no)
+            raise ValueError(f"{name} must be a string")
+    kind_raw = _require(obj, "kind")
     try:
         kind = EventKind(kind_raw)
     except ValueError:
-        raise CorpusFormatError(stream_name, line_no, f"unknown event kind {kind_raw!r}") from None
-    page = _require(obj, "page", stream_name, line_no)
+        raise ValueError(f"unknown event kind {kind_raw!r}") from None
+    page = _require(obj, "page")
     if not isinstance(page, int) or isinstance(page, bool) or page < 0:
-        raise CorpusFormatError(stream_name, line_no, "page must be a nonnegative integer")
-    bbox = _parse_bbox(_require(obj, "bbox", stream_name, line_no), stream_name, line_no)
+        raise ValueError("page must be a nonnegative integer")
+    bbox = _parse_bbox(_require(obj, "bbox"))
     target = obj.get("target")
     oer = obj.get("oer")
     grade_raw = obj.get("grade")
     if not (target is None or isinstance(target, str)):
-        raise CorpusFormatError(stream_name, line_no, "target must be a string")
+        raise ValueError("target must be a string")
     if not (oer is None or isinstance(oer, str)):
-        raise CorpusFormatError(stream_name, line_no, "oer must be a string")
+        raise ValueError("oer must be a string")
     timestamp = obj.get("ts", 0)
     if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-        raise CorpusFormatError(stream_name, line_no, "ts must be an integer")
+        raise ValueError("ts must be an integer")
     if (target is not None) != (kind is EventKind.REPLY):
-        raise CorpusFormatError(stream_name, line_no, "target must be set iff kind is reply")
+        raise ValueError("target must be set iff kind is reply")
     if (oer is not None) != (kind is EventKind.RATING):
-        raise CorpusFormatError(stream_name, line_no, "oer must be set iff kind is rating")
+        raise ValueError("oer must be set iff kind is rating")
     if (grade_raw is not None) != (kind is EventKind.RATING):
-        raise CorpusFormatError(stream_name, line_no, "grade must be set iff kind is rating")
+        raise ValueError("grade must be set iff kind is rating")
     if content and kind in (EventKind.QUOTE, EventKind.RATING):
-        raise CorpusFormatError(stream_name, line_no, f"{kind.value} events carry no content_text")
-    _warn_extra_keys(obj, _EVENT_KEYS, stream_name, line_no)
+        raise ValueError(f"{kind.value} events carry no content_text")
     return ReadingEvent(
         event_id=event_id,
         kind=kind,
@@ -265,21 +227,62 @@ def _parse_event(obj: dict, stream_name: str, line_no: int) -> ReadingEvent:
         content_text=content,
         target_event_id=target,
         oer_id=oer,
-        grade=_parse_grade(grade_raw, stream_name, line_no) if grade_raw is not None else None,
+        grade=_parse_grade(grade_raw) if grade_raw is not None else None,
         timestamp=timestamp,
     )
 
 
-def _parse_oer(obj: dict, stream_name: str, line_no: int) -> OerItem:
-    oer_id = _require(obj, "oer", stream_name, line_no)
-    type_raw = _require(obj, "type", stream_name, line_no)
+def _parse_oer(obj: dict) -> OerItem:
+    oer_id = _require(obj, "oer")
+    type_raw = _require(obj, "type")
+    title = obj.get("title", "")
+    body = obj.get("body", "")
+    for name, value in (("oer", oer_id), ("title", title), ("body", body)):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
     try:
         oer_type = OerType(type_raw)
     except ValueError:
         valid = ", ".join(t.value for t in OerType)
-        raise CorpusFormatError(stream_name, line_no, f"OER type {type_raw!r} not one of {valid}") from None
-    _warn_extra_keys(obj, _OER_KEYS, stream_name, line_no)
-    return OerItem(oer_id, oer_type, obj.get("title", ""), obj.get("body", ""))
+        raise ValueError(f"OER type {type_raw!r} not one of {valid}") from None
+    return OerItem(oer_id, oer_type, title, body)
+
+
+# stream -> (record parser, id field, what a duplicate id names, known fields)
+_JSONL_STREAMS = {
+    "readers.jsonl": (_parse_reader, "reader", "reader", {"reader", "courses", "skills"}),
+    "events.jsonl": (_parse_event, "event", "event", {
+        "event", "kind", "reader", "paper", "page", "bbox",
+        "quote_text", "content_text", "target", "oer", "grade", "ts"}),
+    "oers.jsonl": (_parse_oer, "oer", "OER", {"oer", "type", "title", "body"}),
+}
+
+
+def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict) -> None:
+    """Decode, parse and insert by id each non-blank line of a JSON-lines
+    stream. Any ValueError on a line becomes a CorpusFormatError naming it;
+    fields the parser does not read draw one warning for the whole stream."""
+    parse, id_field, what, known = _JSONL_STREAMS[stream_name]
+    unknown: set[str] = set()
+    for line_no, line in enumerate(lines or (), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("record is not a JSON object")
+            record = parse(obj)
+            if obj[id_field] in records:
+                raise ValueError(f"duplicate {what} id {obj[id_field]!r}")
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(stream_name, line_no, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:
+            raise CorpusFormatError(stream_name, line_no, str(exc)) from exc
+        records[obj[id_field]] = record
+        if not known.issuperset(obj):
+            unknown.update(set(obj) - known)
+    if unknown:
+        log.warning("%s: ignoring unknown fields %s", stream_name, sorted(unknown))
 
 
 def parse_corpus(
@@ -296,41 +299,29 @@ def parse_corpus(
     :class:`CorpusFormatError`; nothing is dropped silently.
     """
     corpus = Corpus()
-
-    for line_no, line in _lines(reader_stream):
-        profile = _parse_reader(_json_line("readers.jsonl", line_no, line), "readers.jsonl", line_no)
-        if profile.reader_id in corpus.readers:
-            raise CorpusFormatError("readers.jsonl", line_no, f"duplicate reader id {profile.reader_id!r}")
-        corpus.readers[profile.reader_id] = profile
-
-    for line_no, line in _lines(event_stream):
-        event = _parse_event(_json_line("events.jsonl", line_no, line), "events.jsonl", line_no)
-        if event.event_id in corpus.events:
-            raise CorpusFormatError("events.jsonl", line_no, f"duplicate event id {event.event_id!r}")
-        corpus.events[event.event_id] = event
-
-    for line_no, line in _lines(oer_stream):
-        item = _parse_oer(_json_line("oers.jsonl", line_no, line), "oers.jsonl", line_no)
-        if item.oer_id in corpus.oers:
-            raise CorpusFormatError("oers.jsonl", line_no, f"duplicate OER id {item.oer_id!r}")
-        corpus.oers[item.oer_id] = item
+    _read_jsonl("readers.jsonl", reader_stream, corpus.readers)
+    _read_jsonl("events.jsonl", event_stream, corpus.events)
+    _read_jsonl("oers.jsonl", oer_stream, corpus.oers)
 
     judged: dict[str, dict] = {}
-    for line_no, line in _lines(judgment_stream):
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise CorpusFormatError("judgments.tsv", line_no, f"expected 6 tab-separated columns, got {len(cols)}")
-        query_id, reader_id, paper_id, quote_text, oer_id, grade_raw = cols
-        grade = _parse_grade(grade_raw, "judgments.tsv", line_no)
-        entry = judged.setdefault(
-            query_id, {"reader": reader_id, "paper": paper_id, "quote": quote_text, "oers": {}})
-        if (entry["reader"], entry["paper"], entry["quote"]) != (reader_id, paper_id, quote_text):
-            raise CorpusFormatError(
-                "judgments.tsv", line_no,
-                f"query {query_id!r} repeated with conflicting reader/paper/quote")
-        if oer_id in entry["oers"]:
-            raise CorpusFormatError(
-                "judgments.tsv", line_no, f"OER {oer_id!r} judged twice in query {query_id!r}")
+    for line_no, line in enumerate(judgment_stream or (), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
+            cols = line.split("\t")
+            if len(cols) != 6:
+                raise ValueError(f"expected 6 tab-separated columns, got {len(cols)}")
+            query_id, reader_id, paper_id, quote_text, oer_id, grade_raw = cols
+            grade = _parse_grade(grade_raw)
+            entry = judged.setdefault(
+                query_id, {"reader": reader_id, "paper": paper_id, "quote": quote_text, "oers": {}})
+            if (entry["reader"], entry["paper"], entry["quote"]) != (reader_id, paper_id, quote_text):
+                raise ValueError(f"query {query_id!r} repeated with conflicting reader/paper/quote")
+            if oer_id in entry["oers"]:
+                raise ValueError(f"OER {oer_id!r} judged twice in query {query_id!r}")
+        except ValueError as exc:
+            raise CorpusFormatError("judgments.tsv", line_no, str(exc)) from exc
         entry["oers"][oer_id] = grade
     for query_id, entry in judged.items():
         corpus.queries[query_id] = JudgedQuery(
@@ -347,24 +338,17 @@ def parse_corpus(
     return corpus
 
 
-def _lines(stream: Iterable[str] | None) -> Iterator[tuple[int, str]]:
-    if stream is None:
-        return
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line.strip():
-            yield line_no, line
-
-
 # -- validation -----------------------------------------------------------
 
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check cross-record references; problems become report entries, not errors."""
-    report = ValidationReport()
+def validate_corpus(corpus: Corpus) -> dict:
+    """Check cross-record references. Returns the validation document:
+    ``consistent``, ``issues`` as ``{kind, message}`` entries, and
+    ``event_counts`` per event kind; problems are entries, not errors."""
+    issues: list[dict[str, str]] = []
     counts = {kind.value: 0 for kind in EventKind}
 
     def issue(kind: str, message: str) -> None:
-        report.issues.append(ValidationIssue(kind, message))
+        issues.append({"kind": kind, "message": message})
 
     for event in corpus.events.values():
         counts[event.kind.value] += 1
@@ -388,57 +372,44 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             if oer_id not in corpus.oers:
                 issue("dangling-judgment", f"query {query.query_id!r} judges unknown OER {oer_id!r}")
 
-    report.event_counts = counts
-    return report
+    return {"consistent": not issues, "issues": issues, "event_counts": counts}
 
 
 # -- serialization --------------------------------------------------------
 
-def _compact(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _jsonl(records: Iterable[dict]) -> str:
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
 
 def serialize_readers(corpus: Corpus) -> str:
     """Reader stream in canonical form; profile-less readers carry no line."""
-    lines = []
-    for profile in corpus.readers.values():
-        if not profile.has_rpf:
-            continue
-        lines.append(_compact({
-            "reader": profile.reader_id,
-            "courses": sorted(profile.courses),
-            "skills": {k: profile.skills[k] for k in sorted(profile.skills)},
-        }))
-    return "".join(line + "\n" for line in lines)
+    return _jsonl({
+        "reader": p.reader_id,
+        "courses": sorted(p.courses),
+        "skills": {k: p.skills[k] for k in sorted(p.skills)},
+    } for p in corpus.readers.values() if p.has_rpf)
 
 
 def serialize_events(corpus: Corpus) -> str:
-    lines = []
-    for e in corpus.events.values():
-        lines.append(_compact({
-            "event": e.event_id,
-            "kind": e.kind.value,
-            "reader": e.reader_id,
-            "paper": e.paper_id,
-            "page": e.page,
-            "bbox": list(e.bbox),
-            "quote_text": e.quote_text,
-            "content_text": e.content_text,
-            "target": e.target_event_id,
-            "oer": e.oer_id,
-            "grade": e.grade.value if e.grade is not None else None,
-            "ts": e.timestamp,
-        }))
-    return "".join(line + "\n" for line in lines)
+    return _jsonl({
+        "event": e.event_id,
+        "kind": e.kind.value,
+        "reader": e.reader_id,
+        "paper": e.paper_id,
+        "page": e.page,
+        "bbox": list(e.bbox),
+        "quote_text": e.quote_text,
+        "content_text": e.content_text,
+        "target": e.target_event_id,
+        "oer": e.oer_id,
+        "grade": e.grade.value if e.grade is not None else None,
+        "ts": e.timestamp,
+    } for e in corpus.events.values())
 
 
 def serialize_oers(corpus: Corpus) -> str:
-    lines = []
-    for o in corpus.oers.values():
-        lines.append(_compact({
-            "oer": o.oer_id, "type": o.oer_type.value, "title": o.title, "body": o.body_text,
-        }))
-    return "".join(line + "\n" for line in lines)
+    return _jsonl({"oer": o.oer_id, "type": o.oer_type.value, "title": o.title, "body": o.body_text}
+                  for o in corpus.oers.values())
 
 
 def serialize_judgments(corpus: Corpus) -> str:
@@ -452,9 +423,6 @@ def serialize_judgments(corpus: Corpus) -> str:
 
 def write_corpus(corpus: Corpus, out_dir) -> None:
     """Write the four stream files."""
-    from .util import atomic_write_text
-    from pathlib import Path
-
     out = Path(out_dir)
     files = {
         "readers.jsonl": serialize_readers(corpus),
@@ -471,8 +439,6 @@ STREAMS = ("events.jsonl", "readers.jsonl", "oers.jsonl", "judgments.tsv")
 
 
 def _stream_lines(in_dir, name: str, required: bool = False) -> list[str] | None:
-    from pathlib import Path
-
     path = Path(in_dir) / name
     if not path.exists():
         if required:

@@ -134,6 +134,14 @@ class MetaPath:
 
     @classmethod
     def from_json(cls, steps: list[dict]) -> "MetaPath":
+        if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
+            raise ValueError("expected a list of step objects")
+        for i, s in enumerate(steps):
+            for key in ("edge", "to"):
+                if key not in s:
+                    raise ValueError(f"step {i}: missing key {key!r}")
+                if not isinstance(s[key], str):
+                    raise ValueError(f"step {i}: {key!r} must be a string")
         return cls(tuple(PathStep(s["edge"], s["to"], s.get("oer_type")) for s in steps))
 
 
@@ -224,7 +232,18 @@ def write_metapaths(paths: list[MetaPath], path, meta: dict | None = None) -> No
 
 
 def read_metapaths(path) -> list[MetaPath]:
+    """A JSON list of meta-paths, or an object whose "metapaths" is one. A
+    malformed file fails with its path and the meta-path's index."""
     data = load_json(Path(path))
     if isinstance(data, dict):
-        data = data.get("metapaths", [])
-    return [MetaPath.from_json(steps) for steps in data]
+        data = data.get("metapaths")
+    if not isinstance(data, list):
+        raise ValueError(f'{path}: expected a list of meta-paths or an object '
+                         f'whose "metapaths" is one')
+    paths = []
+    for i, steps in enumerate(data):
+        try:
+            paths.append(MetaPath.from_json(steps))
+        except ValueError as exc:
+            raise ValueError(f"{path}: meta-path {i}: {exc}") from exc
+    return paths

@@ -177,7 +177,12 @@ class TestFailureKeepsEarlierRun:
          "edge endpoint 'nope' is not a vertex"),
         ("communities.tsv", "r999\tx\tclustered", ["train-ranker"],
          "invalid literal for int() with base 10: 'x'"),
-    ], ids=["short-vertex", "unknown-endpoint", "non-integer-community"])
+        ("communities.tsv", "r000\t0\tclustered", ["train-ranker"],
+         "reader 'r000' listed twice"),
+        ("oers.jsonl", '{"oer": "x1", "type": "video", "title": "t", "body": 5}',
+         ["rankfeat"], "body must be a string"),
+    ], ids=["short-vertex", "unknown-endpoint", "non-integer-community",
+            "reader-listed-twice", "non-string-oer-body"])
     def test_malformed_row_names_its_file_and_line(self, run, capsys, name, row,
                                                    argv, message):
         with open(run / name, "a", encoding="utf-8") as fh:
@@ -186,6 +191,22 @@ class TestFailureKeepsEarlierRun:
         before = snapshot(run)
         assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
         assert capsys.readouterr().err == f"error: {name}:{line}: {message}\n"
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"paths": []}', 'expected a list of meta-paths or an object whose "metapaths" is one'),
+        ("5", 'expected a list of meta-paths or an object whose "metapaths" is one'),
+        ('[[{"edge": "about"}]]', "meta-path 0: step 0: missing key 'to'"),
+        ('{"metapaths": [[], [{"edge": ["about"], "to": "topic"}]]}',
+         "meta-path 1: step 0: 'edge' must be a string"),
+    ], ids=["no-metapaths-key", "number", "step-without-to", "list-edge"])
+    def test_malformed_metapaths_file_is_named(self, run, tmp_path, capsys, text, message):
+        paths = tmp_path / "paths.json"
+        paths.write_text(text)
+        before = snapshot(run)
+        assert run_cli(["graph-build", "--in", run, "--out", run, "--seed", "3",
+                        "--metapaths", paths]) == 1
+        assert capsys.readouterr().err == f"error: {paths}: {message}\n"
         assert snapshot(run) == before
 
     def test_weight_of_a_group_not_clustered_rejected(self, run, tmp_path, capsys):

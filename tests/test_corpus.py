@@ -1,6 +1,7 @@
 """Parsing, validation, and serialization of the reading-log corpus."""
 
 import json
+import logging
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,8 @@ from oerrec.corpus import (
     CorpusFormatError,
     EventKind,
     Grade,
+    OerType,
+    STREAMS,
     parse_corpus,
     read_corpus,
     read_streams,
@@ -116,10 +119,10 @@ class TestCorpusAccessors:
 class TestValidate:
     def test_consistent_corpus_has_no_issues(self, toy_corpus):
         report = validate_corpus(toy_corpus)
-        assert report.issues == []
-        assert report.consistent
-        assert report.event_counts["quote"] == 3
-        assert report.event_counts["rating"] == 3
+        assert report["issues"] == []
+        assert report["consistent"]
+        assert report["event_counts"]["quote"] == 3
+        assert report["event_counts"]["rating"] == 3
 
     def test_dangling_reply_target(self, toy_corpus):
         evt = toy_corpus.events["e06"]
@@ -130,9 +133,9 @@ class TestValidate:
             dict(toy_corpus.queries),
         )
         report = validate_corpus(broken)
-        dangling = [i for i in report.issues if i.kind == "dangling-reply"]
+        dangling = [i for i in report["issues"] if i["kind"] == "dangling-reply"]
         assert len(dangling) == 1
-        assert not report.consistent
+        assert not report["consistent"]
 
     def test_rating_with_unknown_oer(self, toy_corpus):
         evt = toy_corpus.events["e07"]
@@ -143,9 +146,9 @@ class TestValidate:
             dict(toy_corpus.queries),
         )
         report = validate_corpus(broken)
-        issues = [i for i in report.issues if i.kind == "dangling-rating"]
+        issues = [i for i in report["issues"] if i["kind"] == "dangling-rating"]
         assert len(issues) == 1
-        assert "ghost" in issues[0].message
+        assert "ghost" in issues[0]["message"]
 
 
 class TestRoundTrip:
@@ -270,12 +273,15 @@ ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(all
                      st.lists(st.integers(0, 1), max_size=4), st.dictionaries(st.just("k"), st.integers()))
 
 
+VALID_OER = {"oer": "v1", "type": "video", "title": "t", "body": "b"}
+
+
 @st.composite
-def event_lines(draw):
-    """A valid event with some fields replaced by values of any JSON type,
+def mangled_lines(draw, valid):
+    """A valid record with some fields replaced by values of any JSON type,
     and some dropped."""
-    obj = dict(VALID_EVENT)
-    for key in draw(st.sets(st.sampled_from(sorted(VALID_EVENT)))):
+    obj = dict(valid)
+    for key in draw(st.sets(st.sampled_from(sorted(valid)))):
         if draw(st.booleans()):
             obj[key] = draw(ANY_JSON)
         else:
@@ -283,7 +289,7 @@ def event_lines(draw):
     return json.dumps(obj)
 
 
-@given(st.integers(0, 3), event_lines())
+@given(st.integers(0, 3), mangled_lines(VALID_EVENT))
 def test_any_event_line_parses_or_names_its_line(n_before, line):
     before = [json.dumps({**VALID_EVENT, "event": f"ok{i}"}) for i in range(n_before)]
     try:
@@ -298,6 +304,30 @@ def test_any_event_line_parses_or_names_its_line(n_before, line):
         assert e.target_event_id is None or isinstance(e.target_event_id, str)
         assert e.oer_id is None or isinstance(e.oer_id, str)
         assert isinstance(e.timestamp, int) and not isinstance(e.timestamp, bool)
+
+
+@given(st.integers(0, 3), mangled_lines(VALID_OER))
+def test_any_oer_line_parses_or_names_its_line(n_before, line):
+    before = [json.dumps({**VALID_OER, "oer": f"ok{i}"}) for i in range(n_before)]
+    try:
+        corpus = parse_corpus([], None, before + [line])
+    except CorpusFormatError as exc:
+        assert exc.line_no == n_before + 1
+        assert str(exc).startswith(f"oers.jsonl:{n_before + 1}: ")
+        return
+    for item in corpus.oers.values():
+        for text in (item.oer_id, item.title, item.body_text):
+            assert isinstance(text, str)
+        assert isinstance(item.oer_type, OerType)
+
+
+def test_unknown_fields_warn_once_per_stream(caplog):
+    lines = [json.dumps({**VALID_EVENT, "event": f"e{i}", "mood": "calm"}) for i in range(3)]
+    with caplog.at_level(logging.WARNING, logger="oerrec.corpus"):
+        corpus = parse_corpus(lines)
+    assert len(corpus.events) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "events.jsonl: ignoring unknown fields ['mood']"]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -317,3 +347,113 @@ def test_event_field_types_checked_at_parse_time(field, value, message):
 def test_grade_gains(grade):
     expected = {"Good": 2, "OK": 1, "Bad": 0, "NotSure": None}[grade.value]
     assert grade.gain == expected
+
+
+VALID_LINES = {
+    "readers.jsonl": json.dumps({"reader": "r1", "courses": ["c1"], "skills": {"s": 2}}),
+    "events.jsonl": json.dumps(VALID_EVENT),
+    "oers.jsonl": json.dumps(VALID_OER),
+    "judgments.tsv": "q1\tr1\tp1\tq\tv1\tGood",
+}
+
+
+def _with(stream, **changes):
+    """The valid record of a JSON-lines stream with fields changed; a value
+    of None deletes the field."""
+    obj = json.loads(VALID_LINES[stream])
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(obj)
+
+
+REPLY = dict(kind="reply", target="e0", quote_text="", content_text="ack")
+RATING = dict(kind="rating", oer="v1", grade="Good", quote_text="")
+
+# (stream, malformed line, message): one case per raise site of the parser.
+PARSE_ERRORS = [
+    ("events.jsonl", "not json", "invalid JSON: Expecting value"),
+    ("events.jsonl", "{", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ("readers.jsonl", "[1, 2]", "record is not a JSON object"),
+    ("readers.jsonl", _with("readers.jsonl", reader=None), "missing field 'reader'"),
+    ("readers.jsonl", _with("readers.jsonl", reader=""), "reader id must be a non-empty string"),
+    ("readers.jsonl", _with("readers.jsonl", reader=7), "reader id must be a non-empty string"),
+    ("readers.jsonl", _with("readers.jsonl", courses="c1"), "courses must be a list of strings"),
+    ("readers.jsonl", _with("readers.jsonl", courses=[1]), "courses must be a list of strings"),
+    ("readers.jsonl", _with("readers.jsonl", skills=[]), "skills must be an object"),
+    ("readers.jsonl", _with("readers.jsonl", skills={"s": 5}),
+     "skill 's' level 5 outside ordinal range 1..4"),
+    ("readers.jsonl", _with("readers.jsonl", skills={"s": True}),
+     "skill 's' level True outside ordinal range 1..4"),
+    ("readers.jsonl", VALID_LINES["readers.jsonl"], "duplicate reader id 'r1'"),
+    ("events.jsonl", _with("events.jsonl", event=None), "missing field 'event'"),
+    ("events.jsonl", _with("events.jsonl", reader=None), "missing field 'reader'"),
+    ("events.jsonl", _with("events.jsonl", paper=None), "missing field 'paper'"),
+    ("events.jsonl", _with("events.jsonl", kind=None), "missing field 'kind'"),
+    ("events.jsonl", _with("events.jsonl", page=None), "missing field 'page'"),
+    ("events.jsonl", _with("events.jsonl", bbox=None), "missing field 'bbox'"),
+    ("events.jsonl", _with("events.jsonl", event=1), "event must be a string"),
+    ("events.jsonl", _with("events.jsonl", reader=1), "reader must be a string"),
+    ("events.jsonl", _with("events.jsonl", paper=1), "paper must be a string"),
+    ("events.jsonl", _with("events.jsonl", quote_text=1), "quote_text must be a string"),
+    ("events.jsonl", _with("events.jsonl", kind="question", content_text=1),
+     "content_text must be a string"),
+    ("events.jsonl", _with("events.jsonl", kind="note"), "unknown event kind 'note'"),
+    ("events.jsonl", _with("events.jsonl", page=-1), "page must be a nonnegative integer"),
+    ("events.jsonl", _with("events.jsonl", page=1.0), "page must be a nonnegative integer"),
+    ("events.jsonl", _with("events.jsonl", page=False), "page must be a nonnegative integer"),
+    ("events.jsonl", _with("events.jsonl", bbox=[0, 0, 1]), "bbox must be four numbers"),
+    ("events.jsonl", _with("events.jsonl", bbox=[0, 0, 1, True]), "bbox must be four numbers"),
+    ("events.jsonl", _with("events.jsonl", bbox="0,0,1,1"), "bbox must be four numbers"),
+    ("events.jsonl", _with("events.jsonl", bbox=[0, 0, 1, 1.5]), "bbox coordinates outside [0,1]"),
+    ("events.jsonl", _with("events.jsonl", bbox=[0.5, 0, 0.25, 1]),
+     "bbox violates x0<=x1 (0.5 > 0.25)"),
+    ("events.jsonl", _with("events.jsonl", bbox=[0, 0.75, 1, 0.5]),
+     "bbox violates y0<=y1 (0.75 > 0.5)"),
+    ("events.jsonl", _with("events.jsonl", **{**REPLY, "target": 3}), "target must be a string"),
+    ("events.jsonl", _with("events.jsonl", **{**RATING, "oer": 3}), "oer must be a string"),
+    ("events.jsonl", _with("events.jsonl", ts="late"), "ts must be an integer"),
+    ("events.jsonl", _with("events.jsonl", ts=1.5), "ts must be an integer"),
+    ("events.jsonl", _with("events.jsonl", target="e0"), "target must be set iff kind is reply"),
+    ("events.jsonl", _with("events.jsonl", **{**REPLY, "target": None}),
+     "target must be set iff kind is reply"),
+    ("events.jsonl", _with("events.jsonl", oer="v1"), "oer must be set iff kind is rating"),
+    ("events.jsonl", _with("events.jsonl", **{**RATING, "oer": None}),
+     "oer must be set iff kind is rating"),
+    ("events.jsonl", _with("events.jsonl", grade="Good"), "grade must be set iff kind is rating"),
+    ("events.jsonl", _with("events.jsonl", **{**RATING, "grade": None}),
+     "grade must be set iff kind is rating"),
+    ("events.jsonl", _with("events.jsonl", content_text="why"), "quote events carry no content_text"),
+    ("events.jsonl", _with("events.jsonl", **RATING, content_text="why"),
+     "rating events carry no content_text"),
+    ("events.jsonl", _with("events.jsonl", **{**RATING, "grade": "Great"}),
+     "grade 'Great' not one of Good, OK, Bad, NotSure"),
+    ("events.jsonl", VALID_LINES["events.jsonl"], "duplicate event id 'e1'"),
+    ("oers.jsonl", _with("oers.jsonl", oer=None), "missing field 'oer'"),
+    ("oers.jsonl", _with("oers.jsonl", type=None), "missing field 'type'"),
+    ("oers.jsonl", _with("oers.jsonl", type="podcast"),
+     "OER type 'podcast' not one of video, slides, wiki, code"),
+    ("oers.jsonl", _with("oers.jsonl", oer=5), "oer must be a string"),
+    ("oers.jsonl", _with("oers.jsonl", title=["t"]), "title must be a string"),
+    ("oers.jsonl", _with("oers.jsonl", body=5), "body must be a string"),
+    ("oers.jsonl", VALID_LINES["oers.jsonl"], "duplicate OER id 'v1'"),
+    ("judgments.tsv", "q1\tr1\tp1\tq\tv2", "expected 6 tab-separated columns, got 5"),
+    ("judgments.tsv", "q1\tr1\tp1\tq\tv2\tGood\tx", "expected 6 tab-separated columns, got 7"),
+    ("judgments.tsv", "q1\tr1\tp1\tq\tv2\tgood", "grade 'good' not one of Good, OK, Bad, NotSure"),
+    ("judgments.tsv", "q1\tr2\tp1\tq\tv2\tGood",
+     "query 'q1' repeated with conflicting reader/paper/quote"),
+    ("judgments.tsv", "q1\tr1\tp1\tq\tv1\tBad", "OER 'v1' judged twice in query 'q1'"),
+]
+
+
+@pytest.mark.parametrize("stream, line, message", PARSE_ERRORS)
+def test_every_parse_error_names_stream_line_and_reason(stream, line, message):
+    # a valid record, a blank line, then the malformed one on line 3
+    streams = {name: None for name in STREAMS}
+    streams[stream] = [VALID_LINES[stream], "", line]
+    with pytest.raises(CorpusFormatError) as exc:
+        parse_corpus(*streams.values())
+    assert str(exc.value) == f"{stream}:3: {message}"
+    assert (exc.value.stream, exc.value.line_no) == (stream, 3)

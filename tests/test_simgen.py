@@ -96,7 +96,7 @@ class TestGeneratedStructure:
     def test_corpus_passes_validation(self):
         result = generate(SMALL)
         report = validate_corpus(result.corpus)
-        assert report.consistent, [i.message for i in report.issues]
+        assert report["consistent"], [i["message"] for i in report["issues"]]
 
     def test_all_readers_have_profiles(self):
         result = generate(SMALL)
