@@ -4,8 +4,10 @@ file formats that carry them.
 Streams are line-delimited: ``readers.jsonl``, ``events.jsonl``,
 ``oers.jsonl`` (one JSON object per line) and ``judgments.tsv`` (one judged
 candidate per line). Record-local invariants are enforced at parse time:
-each record parser sees one record and raises ``ValueError(reason)``, and
-the stream loop reports it as ``<stream>:<line>: <reason>``. Cross-record
+each record parser sees one record, reads a required field as
+``record[key]`` and raises ``ValueError(reason)`` on a bad one, and the
+stream loop reports either as ``<stream>:<line>: <reason>``, a ``KeyError``
+as ``missing field '<key>'``. Cross-record
 references are checked separately by :func:`validate_corpus`, which returns
 the ``validation.json`` document.
 """
@@ -134,14 +136,8 @@ class Corpus:
 
 # -- parsing --------------------------------------------------------------
 
-def _require(obj: dict, key: str):
-    if key not in obj:
-        raise ValueError(f"missing field {key!r}")
-    return obj[key]
-
-
 def _parse_reader(obj: dict) -> ReaderProfile:
-    reader_id = _require(obj, "reader")
+    reader_id = obj["reader"]
     if not isinstance(reader_id, str) or not reader_id:
         raise ValueError("reader id must be a non-empty string")
     courses = obj.get("courses", [])
@@ -157,56 +153,60 @@ def _parse_reader(obj: dict) -> ReaderProfile:
     return ReaderProfile(reader_id, frozenset(courses), dict(skills), has_rpf)
 
 
+# Lookups by value, and the number types json.loads yields (bool excluded):
+# the event parser runs once per line, so it checks exact types.
+_EVENT_KINDS = {k.value: k for k in EventKind}
+_GRADES = {g.value: g for g in Grade}
+_NUMBERS = {int, float}
+
+
 def _parse_bbox(raw) -> tuple[float, float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+    if type(raw) is not list or len(raw) != 4 or not _NUMBERS.issuperset(map(type, raw)):
         raise ValueError("bbox must be four numbers")
-    x0, y0, x1, y1 = (float(v) for v in raw)
-    if not all(0.0 <= v <= 1.0 for v in (x0, y0, x1, y1)):
+    x0, y0, x1, y1 = bbox = tuple(map(float, raw))
+    if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0 and 0.0 <= x1 <= 1.0 and 0.0 <= y1 <= 1.0):
         raise ValueError("bbox coordinates outside [0,1]")
     if x0 > x1:
         raise ValueError(f"bbox violates x0<=x1 ({x0} > {x1})")
     if y0 > y1:
         raise ValueError(f"bbox violates y0<=y1 ({y0} > {y1})")
-    return (x0, y0, x1, y1)
+    return bbox
 
 
 def _parse_grade(raw) -> Grade:
-    try:
-        return Grade(raw)
-    except ValueError:
-        valid = ", ".join(g.value for g in Grade)
-        raise ValueError(f"grade {raw!r} not one of {valid}") from None
+    grade = _GRADES.get(raw) if type(raw) is str else None
+    if grade is None:
+        raise ValueError(f"grade {raw!r} not one of {', '.join(_GRADES)}")
+    return grade
 
 
 def _parse_event(obj: dict) -> ReadingEvent:
-    event_id = _require(obj, "event")
-    reader_id = _require(obj, "reader")
-    paper_id = _require(obj, "paper")
+    event_id, reader_id, paper_id = obj["event"], obj["reader"], obj["paper"]
     quote = obj.get("quote_text", "")
     content = obj.get("content_text", "")
-    for name, value in (("event", event_id), ("reader", reader_id), ("paper", paper_id),
-                        ("quote_text", quote), ("content_text", content)):
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string")
-    kind_raw = _require(obj, "kind")
-    try:
-        kind = EventKind(kind_raw)
-    except ValueError:
-        raise ValueError(f"unknown event kind {kind_raw!r}") from None
-    page = _require(obj, "page")
-    if not isinstance(page, int) or isinstance(page, bool) or page < 0:
+    if not type(event_id) is type(reader_id) is type(paper_id) is type(quote) \
+            is type(content) is str:
+        fields = {"event": event_id, "reader": reader_id, "paper": paper_id,
+                  "quote_text": quote, "content_text": content}
+        name = next(name for name, value in fields.items() if type(value) is not str)
+        raise ValueError(f"{name} must be a string")
+    kind_raw = obj["kind"]
+    kind = _EVENT_KINDS.get(kind_raw) if type(kind_raw) is str else None
+    if kind is None:
+        raise ValueError(f"unknown event kind {kind_raw!r}")
+    page = obj["page"]
+    if type(page) is not int or page < 0:
         raise ValueError("page must be a nonnegative integer")
-    bbox = _parse_bbox(_require(obj, "bbox"))
+    bbox = _parse_bbox(obj["bbox"])
     target = obj.get("target")
     oer = obj.get("oer")
     grade_raw = obj.get("grade")
-    if not (target is None or isinstance(target, str)):
+    if not (target is None or type(target) is str):
         raise ValueError("target must be a string")
-    if not (oer is None or isinstance(oer, str)):
+    if not (oer is None or type(oer) is str):
         raise ValueError("oer must be a string")
     timestamp = obj.get("ts", 0)
-    if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+    if type(timestamp) is not int:
         raise ValueError("ts must be an integer")
     if (target is not None) != (kind is EventKind.REPLY):
         raise ValueError("target must be set iff kind is reply")
@@ -216,25 +216,13 @@ def _parse_event(obj: dict) -> ReadingEvent:
         raise ValueError("grade must be set iff kind is rating")
     if content and kind in (EventKind.QUOTE, EventKind.RATING):
         raise ValueError(f"{kind.value} events carry no content_text")
-    return ReadingEvent(
-        event_id=event_id,
-        kind=kind,
-        reader_id=reader_id,
-        paper_id=paper_id,
-        page=page,
-        bbox=bbox,
-        quote_text=quote,
-        content_text=content,
-        target_event_id=target,
-        oer_id=oer,
-        grade=_parse_grade(grade_raw) if grade_raw is not None else None,
-        timestamp=timestamp,
-    )
+    grade = None if grade_raw is None else _parse_grade(grade_raw)
+    return ReadingEvent(event_id, kind, reader_id, paper_id, page, bbox, quote, content,
+                        target, oer, grade, timestamp)
 
 
 def _parse_oer(obj: dict) -> OerItem:
-    oer_id = _require(obj, "oer")
-    type_raw = _require(obj, "type")
+    oer_id, type_raw = obj["oer"], obj["type"]
     title = obj.get("title", "")
     body = obj.get("body", "")
     for name, value in (("oer", oer_id), ("title", title), ("body", body)):
@@ -260,8 +248,9 @@ _JSONL_STREAMS = {
 
 def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict) -> None:
     """Decode, parse and insert by id each non-blank line of a JSON-lines
-    stream. Any ValueError on a line becomes a CorpusFormatError naming it;
-    fields the parser does not read draw one warning for the whole stream."""
+    stream. Any ValueError or KeyError (a missing field) on a line becomes a
+    CorpusFormatError naming it; fields the parser does not read draw one
+    warning for the whole stream."""
     parse, id_field, what, known = _JSONL_STREAMS[stream_name]
     unknown: set[str] = set()
     for line_no, line in enumerate(lines or (), start=1):
@@ -276,6 +265,9 @@ def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict) ->
                 raise ValueError(f"duplicate {what} id {obj[id_field]!r}")
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(stream_name, line_no, f"invalid JSON: {exc.msg}") from exc
+        except KeyError as exc:
+            raise CorpusFormatError(stream_name, line_no,
+                                    f"missing field {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise CorpusFormatError(stream_name, line_no, str(exc)) from exc
         records[obj[id_field]] = record
@@ -343,7 +335,9 @@ def parse_corpus(
 def validate_corpus(corpus: Corpus) -> dict:
     """Check cross-record references. Returns the validation document:
     ``consistent``, ``issues`` as ``{kind, message}`` entries, and
-    ``event_counts`` per event kind; problems are entries, not errors."""
+    ``event_counts`` per event kind; problems are entries, not errors.
+    Readers are not checked: :func:`parse_corpus` registers every reader an
+    event or judgment names, with no profile if ``readers.jsonl`` has none."""
     issues: list[dict[str, str]] = []
     counts = {kind.value: 0 for kind in EventKind}
 
@@ -352,8 +346,6 @@ def validate_corpus(corpus: Corpus) -> dict:
 
     for event in corpus.events.values():
         counts[event.kind.value] += 1
-        if event.reader_id not in corpus.readers:
-            issue("missing-reader", f"event {event.event_id!r} names unknown reader {event.reader_id!r}")
         if event.kind is EventKind.REPLY:
             target = corpus.events.get(event.target_event_id or "")
             if target is None:
@@ -366,8 +358,6 @@ def validate_corpus(corpus: Corpus) -> dict:
             issue("dangling-rating", f"rating {event.event_id!r} names unknown OER {event.oer_id!r}")
 
     for query in corpus.queries.values():
-        if query.reader_id not in corpus.readers:
-            issue("missing-reader", f"query {query.query_id!r} names unknown reader {query.reader_id!r}")
         for oer_id, _ in query.judgments:
             if oer_id not in corpus.oers:
                 issue("dangling-judgment", f"query {query.query_id!r} judges unknown OER {oer_id!r}")

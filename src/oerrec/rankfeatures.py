@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, OerItem, OerType
-from .hetgraph import HetGraph, MetaPath, metapath_score
+from .hetgraph import HetGraph, MetaPath, WalkResult, metapath_score
 from .retrieval import CollectionStats, bm25_score, lm_score
 from .text import tokenize
 
@@ -50,6 +50,9 @@ class RankFeatureExtractor:
             t: frozenset(tokenize(graph.payload[t]))
             for t in graph.vertices("topic")
         }
+        # (compatible start vertices, meta-path index) -> walk: a walk
+        # depends on nothing else, and queries share few start sets
+        self._walks: dict[tuple[tuple[str, ...], int], WalkResult] = {}
         self.feature_names: tuple[str, ...] = tuple(
             [f"walk:{p.signature()}" for p in self.metapaths]
             + ["lm", "bm25"]
@@ -80,10 +83,13 @@ class RankFeatureExtractor:
         X = np.zeros((n, d))
 
         col = 0
-        for path in self.metapaths:
-            compatible = [v for v in starts if self.graph.vertex_type[v] == path.source_type]
+        for p, path in enumerate(self.metapaths):
+            compatible = tuple(v for v in starts if self.graph.vertex_type[v] == path.source_type)
             if compatible:
-                walk = metapath_score(self.graph, compatible, path)
+                walk = self._walks.get((compatible, p))
+                if walk is None:
+                    walk = self._walks[compatible, p] = metapath_score(
+                        self.graph, compatible, path)
                 for i, c in enumerate(candidates):
                     X[i, col] = walk.scores.get(c, 0.0)
             col += 1
@@ -91,8 +97,7 @@ class RankFeatureExtractor:
         query_terms = tokenize(quote_text)
         for i, c in enumerate(candidates):
             doc = self.doc_tokens[c]
-            lm = lm_score(query_terms, doc, self.mu, self.stats)
-            X[i, col] = max(lm.score, LM_FLOOR)
+            X[i, col] = max(lm_score(query_terms, doc, self.mu, self.stats), LM_FLOOR)
             X[i, col + 1] = bm25_score(query_terms, doc, self.k1, self.b, self.stats)
         col += 2
 

@@ -39,51 +39,38 @@ class CollectionStats:
         return stats
 
 
-@dataclass
-class LmResult:
-    score: float
-    skipped_terms: int = 0  # query terms with zero collection frequency
-    degenerate: bool = False  # hit a zero numerator or denominator
-
-
 def lm_score(
     query_terms: list[str],
     doc_terms: list[str],
     mu: float,
     stats: CollectionStats,
-) -> LmResult:
+) -> float:
     """Dirichlet-smoothed query log-likelihood.
 
     sum over query terms of log((tf + mu * p(t|C)) / (|d| + mu)). Terms
-    absent from the whole collection are skipped and counted; a zero
-    numerator or denominator (only possible with mu = 0) yields the
-    -inf sentinel with the degenerate flag set.
+    absent from the whole collection are skipped; a zero numerator or
+    denominator (only possible with mu = 0) yields -inf.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     if not query_terms:
-        return LmResult(0.0)
+        return 0.0
     tf: dict[str, int] = {}
     for t in doc_terms:
         tf[t] = tf.get(t, 0) + 1
     dlen = len(doc_terms)
 
     score = 0.0
-    skipped = 0
-    degenerate = False
     for term in query_terms:
         p_c = stats.p_collection(term)
         if p_c == 0.0:
-            skipped += 1
             continue
         numerator = tf.get(term, 0) + mu * p_c
         denominator = dlen + mu
         if numerator <= 0.0 or denominator <= 0.0:
-            score = float("-inf")
-            degenerate = True
-            break
+            return float("-inf")
         score += math.log(numerator / denominator)
-    return LmResult(score, skipped, degenerate)
+    return score
 
 
 def bm25_score(

@@ -1,6 +1,7 @@
 """Command-line driver: stage wiring, reproducibility, and error handling."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import shutil
@@ -268,6 +269,23 @@ class TestStages:
         validation = load_json(b / "validation.json")
         assert validation["consistent"] is True
 
+    def test_reader_absent_from_readers_file_is_registered_profile_less(self, tmp_path,
+                                                                        capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["simulate", "--out", a, "--seed", "4", "--readers", "6"]) == 0
+        events = (a / "events.jsonl").read_text().splitlines(keepends=True)
+        first = json.loads(events[0])
+        first["reader"] = "r999"
+        events[0] = json.dumps(first, separators=(",", ":")) + "\n"
+        (a / "events.jsonl").write_text("".join(events))
+        capsys.readouterr()
+        assert run_cli(["ingest", "--in", a, "--out", b, "--seed", "4"]) == 0
+        assert capsys.readouterr().out.startswith("ingest: 7 readers, ")
+        validation = load_json(b / "validation.json")
+        assert validation["consistent"] is True and validation["issues"] == []
+        assert "r999" not in (b / "readers.jsonl").read_text()
+        assert json.loads((b / "events.jsonl").read_text().splitlines()[0])["reader"] == "r999"
+
     def test_pipeline_writes_every_artifact(self, pipeline_dir):
         for name in (*CORPUS_FILES, "features.json", "communities.tsv",
                      "cluster_eval.json", "maxent.json", "graph_stats.json",
@@ -394,6 +412,43 @@ class TestReproducibility:
             (tmp_path / "events.jsonl").read_bytes()
             != (pipeline_dir / "events.jsonl").read_bytes()
         )
+
+    def test_stage_artifacts_keep_their_pinned_bytes(self, tmp_path, monkeypatch, capsys):
+        """Every artifact of `ingest`..`rankfeat` on a `simulate --seed 7
+        --readers 60` corpus keeps the sha256 it had before the location PAM,
+        the JSON writer, the walk memo and the event parser were made faster.
+        Paths are relative, so the `_meta` overrides are the same in any
+        directory."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["simulate", "--out", "corpus", "--seed", "7", "--readers", "60"]) == 0
+        for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
+                      "assign", "graph-build", "rankfeat"):
+            assert run_cli([stage, "--in", "corpus", "--out", "run", "--seed", "7"]) == 0
+        capsys.readouterr()
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted((tmp_path / "run").iterdir())}
+        assert digests == PINNED_SEED7_ARTIFACTS
+
+
+# sha256 of each artifact of `ingest`..`rankfeat` at master seed 7 on the
+# `simulate --seed 7 --readers 60` corpus, `--in corpus --out run`.
+PINNED_SEED7_ARTIFACTS = {
+    "cluster_eval.json": "b2b0cd0064911fb6dd8541da36bdbf570582379452b8a40380c2556a14425da2",
+    "communities.tsv": "cacd96b6572a8b750b1a865eff8cdd60f5616d7a78d5319d39d39f1227fabf61",
+    "edges.tsv": "65be86bd60b50119ab33dcad24b58cb8b4e6db4b8b383bcf50f8da3d70dee3af",
+    "events.jsonl": "a83b0d919604961396c8447dbb6c20990bbca4e80ccb40e3e4310ec6c9ee70a2",
+    "features.json": "9396f455765f1b13cfa8dfe50ffc7bd9a7e2bc420ade5c0ce425b51f614134da",
+    "graph_stats.json": "27ce6e4409879eb21195f0c650e023f252e79176d9ac483ceb30f38b189dc822",
+    "judgments.tsv": "700a9ca2407de8b26fa1631ff8b76017cfd2e81838842a796d3cf6c4cc0c8477",
+    "maxent.json": "3eb81a3c5b49fb7025aa8cb4facb74d5a68bc9c94022d21e992cb23ffadfef4d",
+    "metapaths.json": "d8eeae8d8fc99547e0d2d832711af6e8364f49f013ff433e3683edffe4b1a2be",
+    "oers.jsonl": "a8de90e6c30efd31162e06f1044af94b1408340be7f73ae698af372d05b6198e",
+    "rankfeat.json": "068a70997b4c7e6eca76a9317f626cf7f0b7e661dfc58a59d7a0490763f4aa2b",
+    "readers.jsonl": "7811520b3c52031a14b89305941b6bccd220908ea9dd7111b270ea10626f858f",
+    "run_config.json": "8e0ad5a72ca5d368a0dbed068d03d4d79f340b6b9435bc058a64da42eadcef8d",
+    "validation.json": "6aa7a4570392d3025ccceb95f28743bcbc79c9a3df87b30b3f333f062218e508",
+    "vertices.tsv": "f0314b19aeea35089497bd9b884db733583b36326d5198de36e0d60707f38755",
+}
 
 
 def test_console_entry_point(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oerrec.kmedoids import kmedoids, pairwise_distances
+from oerrec.kmedoids import KMedoidsResult, _assign, kmedoids, pairwise_distances
 from oracles import oracle_distance, oracle_kmedoids_best
 
 
@@ -158,3 +158,77 @@ class TestKMedoids:
         result = kmedoids(X, k, rng(seed))
         best_cost, _ = oracle_kmedoids_best(X.tolist(), k)
         assert result.cost == pytest.approx(best_cost, abs=1e-9)
+
+
+def reference_kmedoids(X, k, rng, metric="euclidean"):
+    """The swap step as it was before the one-pass screen: k passes over the
+    candidate columns per swap, one per medoid, in medoid order."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    D = pairwise_distances(X, metric)
+    medoids = [int(i) for i in rng.choice(n, size=k, replace=False)]
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[medoids] = True
+    _, d_near_all = _assign(D, medoids)
+    cost = float(d_near_all.sum())
+    n_swaps = 0
+
+    while True:
+        Dmed = D[:, medoids]  # (n, k)
+        nearest = np.argmin(Dmed, axis=1)
+        d_near = Dmed[np.arange(n), nearest]
+        if k > 1:
+            part = np.partition(Dmed, 1, axis=1)
+            d_second = part[:, 1]
+        else:
+            d_second = np.full(n, np.inf)
+
+        candidates = np.flatnonzero(~is_medoid)
+        best_cost = cost
+        best_swap = None
+        for ci in range(k):
+            fallback = np.where(nearest == ci, d_second, d_near)
+            if candidates.size == 0:
+                continue
+            new_costs = np.minimum(fallback[:, None], D[:, candidates]).sum(axis=0)
+            j = int(np.argmin(new_costs))
+            if new_costs[j] < best_cost:
+                best_cost = float(new_costs[j])
+                best_swap = (ci, int(candidates[j]))
+        if best_swap is None:
+            break
+        ci, h = best_swap
+        is_medoid[medoids[ci]] = False
+        is_medoid[h] = True
+        medoids[ci] = h
+        cost = best_cost
+        n_swaps += 1
+
+    assignment, dists = _assign(D, medoids)
+    return KMedoidsResult(tuple(medoids), assignment, float(dists.sum()), n_swaps)
+
+
+@st.composite
+def tied_points(draw):
+    """Points on a small integer grid, some rows repeated: many exactly tied
+    distances and swap costs, zero vectors included."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=-2, max_value=2)
+    base = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    copies = draw(st.lists(st.integers(min_value=0, max_value=len(base) - 1), max_size=8))
+    rows = base + [base[i] for i in copies]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.float64)
+
+
+@settings(deadline=None, max_examples=150)
+@given(tied_points(), st.data(), st.sampled_from(["euclidean", "manhattan", "cosine"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_screened_swaps_decide_as_the_per_medoid_loop(X, data, metric, seed):
+    k = data.draw(st.integers(min_value=1, max_value=len(X)))
+    got = kmedoids(X, k, rng(seed), metric)
+    want = reference_kmedoids(X, k, rng(seed), metric)
+    assert got.medoid_indices == want.medoid_indices
+    assert got.n_swaps == want.n_swaps
+    assert got.cost.hex() == want.cost.hex()
+    assert np.array_equal(got.assignment, want.assignment)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import graph_as_dicts
-from oerrec.hetgraph import HetGraph, default_metapaths
+from oerrec import rankfeatures
+from oerrec.cli import main as cli_main
+from oerrec.corpus import read_streams
+from oerrec.hetgraph import (HetGraph, default_metapaths, metapath_score, read_graph,
+                             read_metapaths)
 from oerrec.rankfeatures import RankFeatureExtractor, build_query_features
 from oracles import oracle_bm25, oracle_lm, oracle_walk
 
@@ -167,3 +171,38 @@ class TestBuildQueryFeatures:
         q1 = qfs[0]
         direct = extractor.extract("p1", "hash table", list(q1.candidates))
         assert np.array_equal(q1.X, direct)
+
+
+def test_each_start_set_is_walked_once(tmp_path, monkeypatch, capsys):
+    """build_query_features walks each distinct (start set, meta-path) once,
+    and every query's rows equal those of an extractor that has walked
+    nothing before."""
+    assert cli_main(["simulate", "--out", str(tmp_path), "--seed", "5",
+                     "--readers", "12"]) == 0
+    capsys.readouterr()
+    corpus = read_streams(tmp_path, "oers.jsonl", "judgments.tsv")
+    graph = read_graph(tmp_path / "vertices.tsv", tmp_path / "edges.tsv")
+    paths = read_metapaths(tmp_path / "metapaths.json")
+    walks = []
+
+    def counted(graph, starts, path):
+        walks.append((tuple(starts), paths.index(path)))
+        return metapath_score(graph, starts, path)
+
+    monkeypatch.setattr(rankfeatures, "metapath_score", counted)
+    extractor = RankFeatureExtractor(graph, paths, corpus.oers)
+    queries = build_query_features(corpus, extractor)
+    assert len(walks) == len(set(walks)) < len(queries) * len(paths)
+
+    distinct = set()
+    for q in queries:
+        query = corpus.queries[q.query_id]
+        starts = extractor.start_vertices(query.paper_id, query.quote_text)
+        for p, path in enumerate(paths):
+            compatible = tuple(v for v in starts if graph.vertex_type[v] == path.source_type)
+            if compatible:
+                distinct.add((compatible, p))
+        fresh = RankFeatureExtractor(graph, paths, corpus.oers)
+        assert fresh.extract(query.paper_id, query.quote_text, q.candidates).tobytes() \
+            == q.X.tobytes()
+    assert set(walks) == distinct
