@@ -15,13 +15,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import community as community_mod
 from . import evaluation, features, hetgraph, maxent, ranker, simgen
 from .config import PipelineConfig, load_config
 from .corpus import read_corpus, read_streams, validate_corpus, write_corpus
-from .rankfeatures import QueryFeatures, RankFeatureExtractor, build_query_features
+from .rankfeatures import (RankFeatureExtractor, build_query_features, read_rankfeat,
+                           write_rankfeat)
 from .util import dump_json, fork_seed, load_json
 
 
@@ -33,24 +32,32 @@ def _stage_seed(cfg: PipelineConfig, stage: str) -> int:
     return fork_seed(cfg.require_seed(), stage)
 
 
-def _read_rankfeat(path) -> tuple[tuple[str, ...], list[QueryFeatures]]:
-    d = load_json(path)
-    names = tuple(d["feature_names"])
-    queries = [
-        QueryFeatures(q["query_id"], q["reader_id"], tuple(q["candidates"]),
-                      np.asarray(q["gains"], dtype=np.int64),
-                      np.asarray(q["X"], dtype=np.float64))
-        for q in d["queries"]
-    ]
-    return names, queries
+def _load_features(cfg: PipelineConfig) -> features.FeatureMatrix:
+    return features.features_from_dict(load_json(Path(cfg.out_dir) / "features.json"))
+
+
+def _read_communities(cfg: PipelineConfig) -> tuple[dict[str, int], dict[str, str]]:
+    """communities.tsv, each community checked against the k that cluster
+    recorded in cluster_eval.json."""
+    out = Path(cfg.out_dir)
+    k = load_json(out / "cluster_eval.json")["k"]
+    return community_mod.read_communities(out / "communities.tsv", k)
+
+
+def _extractor(cfg: PipelineConfig, oers) -> RankFeatureExtractor:
+    """Rank features over graph-build's graph and meta-paths in --out."""
+    out = Path(cfg.out_dir)
+    graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
+    paths = hetgraph.read_metapaths(out / "metapaths.json")
+    return RankFeatureExtractor(graph, paths, oers, cfg.mu, cfg.k1, cfg.b)
 
 
 # -- stages ------------------------------------------------------------------
-# Each reads and checks all its inputs before its first write and returns a
-# one-line summary. Every write is atomic, so a failed command leaves the
-# files of an earlier run as they were.
+# Each takes the config and the parsed flags, reads and checks all its inputs
+# before its first write, and returns a one-line summary. Every write is
+# atomic, so a failed command leaves the files of an earlier run as they were.
 
-def stage_simulate(cfg: PipelineConfig) -> str:
+def stage_simulate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     sim = cfg.sim_config()
     result = simgen.generate(sim)
@@ -60,7 +67,7 @@ def stage_simulate(cfg: PipelineConfig) -> str:
             f"{len(result.corpus.queries)} queries -> {out}")
 
 
-def stage_ingest(cfg: PipelineConfig) -> str:
+def stage_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     corpus = read_corpus(cfg.in_dir)
     report = validate_corpus(corpus)
     out = Path(cfg.out_dir)
@@ -75,7 +82,7 @@ def stage_ingest(cfg: PipelineConfig) -> str:
             f"{len(corpus.queries)} queries, consistent={report['consistent']}")
 
 
-def stage_featurize(cfg: PipelineConfig) -> str:
+def stage_featurize(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     corpus = read_corpus(cfg.in_dir)
     fm = features.extract_features(corpus, cfg.k_loc, _stage_seed(cfg, "featurize"))
     out = Path(cfg.out_dir) / "features.json"
@@ -84,11 +91,7 @@ def stage_featurize(cfg: PipelineConfig) -> str:
     return f"featurize: {len(fm.reader_ids)} readers, group dims {dims}"
 
 
-def _load_features(cfg: PipelineConfig) -> features.FeatureMatrix:
-    return features.features_from_dict(load_json(Path(cfg.out_dir) / "features.json"))
-
-
-def stage_cluster(cfg: PipelineConfig) -> str:
+def stage_cluster(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     fm = _load_features(cfg)
     model = community_mod.cluster_profiles(
         fm, cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
@@ -109,9 +112,8 @@ def stage_cluster(cfg: PipelineConfig) -> str:
             f"cost={model.cost:.4f}, reply-pair f1={scores['f1']:.4f}")
 
 
-def stage_train_community_classifier(cfg: PipelineConfig) -> str:
-    assignment, source = community_mod.read_communities(
-        Path(cfg.out_dir) / "communities.tsv")
+def stage_train_community_classifier(cfg: PipelineConfig, args: argparse.Namespace) -> str:
+    assignment, source = _read_communities(cfg)
     clustered = {r: c for r, c in assignment.items() if source[r] == "clustered"}
     model = community_mod.fit_behavior_classifier(
         _load_features(cfg), clustered, cfg.classifier_groups, cfg.lam)
@@ -122,10 +124,10 @@ def stage_train_community_classifier(cfg: PipelineConfig) -> str:
             f"grad norm {model.final_grad_norm:.2e}")
 
 
-def stage_assign(cfg: PipelineConfig) -> str:
+def stage_assign(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     fm = _load_features(cfg)
     out = Path(cfg.out_dir)
-    assignment, source = community_mod.read_communities(out / "communities.tsv")
+    assignment, source = _read_communities(cfg)
     model = maxent.MaxEntModel.from_dict(load_json(out / "maxent.json"))
     predicted = community_mod.predict_behavior(fm, model, assignment,
                                                cfg.classifier_groups)
@@ -137,7 +139,7 @@ def stage_assign(cfg: PipelineConfig) -> str:
             f"({sum(1 for s in source.values() if s == 'predicted')} predicted)")
 
 
-def stage_graph_build(cfg: PipelineConfig) -> str:
+def stage_graph_build(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     in_dir = Path(cfg.in_dir)
     graph = hetgraph.read_graph(in_dir / "vertices.tsv", in_dir / "edges.tsv")
     mp_path = cfg.metapath_file or (in_dir / "metapaths.json")
@@ -158,32 +160,20 @@ def stage_graph_build(cfg: PipelineConfig) -> str:
     return f"graph-build: vertices {counts}, {len(paths)} metapaths"
 
 
-def stage_rankfeat(cfg: PipelineConfig) -> str:
+def stage_rankfeat(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     corpus = read_streams(cfg.in_dir, "oers.jsonl", "judgments.tsv")
-    out = Path(cfg.out_dir)
-    graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
-    paths = hetgraph.read_metapaths(out / "metapaths.json")
-    extractor = RankFeatureExtractor(graph, paths, corpus.oers,
-                                     cfg.mu, cfg.k1, cfg.b)
+    extractor = _extractor(cfg, corpus.oers)
     queries = build_query_features(corpus, extractor)
-    payload = {
-        "feature_names": list(extractor.feature_names),
-        "queries": [
-            {"query_id": q.query_id, "reader_id": q.reader_id,
-             "candidates": list(q.candidates), "gains": q.gains.tolist(),
-             "X": q.X.tolist()}
-            for q in queries
-        ],
-    }
-    dump_json(out / "rankfeat.json", payload, cfg.meta("rankfeat"))
+    write_rankfeat(Path(cfg.out_dir) / "rankfeat.json", extractor.feature_names,
+                   queries, cfg.meta("rankfeat"))
     return (f"rankfeat: {len(queries)} queries x {len(extractor.feature_names)} "
             f"features")
 
 
-def stage_train_ranker(cfg: PipelineConfig) -> str:
+def stage_train_ranker(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
-    names, queries = _read_rankfeat(out / "rankfeat.json")
-    assignment, _ = community_mod.read_communities(out / "communities.tsv")
+    names, queries = read_rankfeat(out / "rankfeat.json")
+    assignment, _ = _read_communities(cfg)
     rset = ranker.train_communitized(
         queries, assignment, names, cfg.metric, cfg.restarts, cfg.threshold,
         _stage_seed(cfg, "train-ranker"))
@@ -192,47 +182,43 @@ def stage_train_ranker(cfg: PipelineConfig) -> str:
             f"{len(rset.models)} community models")
 
 
-def stage_recommend(cfg: PipelineConfig,
-                    paper: str, quote: str, reader: str | None, top: int) -> str:
-    if top < 1:
-        raise ValueError(f"--top must be at least 1, got {top}")
-    out = Path(cfg.out_dir)
+def stage_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     oers = read_streams(cfg.in_dir, "oers.jsonl").oers
-    graph = hetgraph.read_graph(out / "vertices.tsv", out / "edges.tsv")
-    paths = hetgraph.read_metapaths(out / "metapaths.json")
+    extractor = _extractor(cfg, oers)
     try:
-        rset = ranker.read_rankerset(out)
+        rset = ranker.read_rankerset(Path(cfg.out_dir))
     except FileNotFoundError as exc:
         raise RuntimeError(f"no model: {exc}") from exc
     community = None
-    if reader is not None:
-        assignment, _ = community_mod.read_communities(out / "communities.tsv")
-        community = assignment.get(reader)
+    if args.reader is not None:
+        community = _read_communities(cfg)[0].get(args.reader)
     model = rset.resolve(community)
 
-    extractor = RankFeatureExtractor(graph, paths, oers, cfg.mu, cfg.k1, cfg.b)
     if extractor.feature_names != model.feature_names:
         raise ValueError(f"feature names {extractor.feature_names} do not match "
                          f"model {model.feature_names}")
     candidates = sorted(oers)
     ranked = ranker.rank(model, candidates,
-                         extractor.extract(paper, quote, candidates))[:top]
+                         extractor.extract(args.paper, args.quote, candidates))[:args.top]
     for i, (oer_id, score) in enumerate(ranked, start=1):
         print(f"{i}\t{oer_id}\t{score:.6f}\t{oers[oer_id].oer_type.value}")
-    return (f"recommend: model={model.community}, paper={paper}, "
+    return (f"recommend: model={model.community}, paper={args.paper}, "
             f"{len(ranked)} results")
 
 
-def stage_evaluate(cfg: PipelineConfig, mode: str = "cv") -> str:
+def stage_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
+    mode = args.mode
     out = Path(cfg.out_dir)
-    names, queries = _read_rankfeat(out / "rankfeat.json")
+    names, queries = read_rankfeat(out / "rankfeat.json")
     if mode == "cv":
-        assignment, _ = community_mod.read_communities(out / "communities.tsv")
+        assignment, _ = _read_communities(cfg)
         report = evaluation.cross_validate_ranking(
             queries, names, assignment, cfg.folds, _stage_seed(cfg, "evaluate"),
             cfg.metric, cfg.restarts, cfg.threshold)
         path = out / "report.json"
-    elif mode == "missing-rpf":
+    else:  # missing-rpf
         fm = _load_features(cfg)
         report = evaluation.simulate_missing_rpf(
             fm, queries, names, cfg.fraction, cfg.sim_folds,
@@ -241,8 +227,6 @@ def stage_evaluate(cfg: PipelineConfig, mode: str = "cv") -> str:
             cfg.threshold, cfg.cluster_groups, cfg.classifier_groups,
             cfg.group_weights)
         path = out / "report_missing_rpf.json"
-    else:
-        raise ValueError(f"unknown evaluate mode {mode!r}")
     evaluation.write_report(report, path, cfg.meta(f"evaluate:{mode}"))
     comm = report.means("communitized")["ndcg@3"]
     glob = report.means("global")["ndcg@3"]
@@ -261,31 +245,28 @@ PIPELINE_STAGES = ("simulate", "ingest", "featurize", "cluster",
                    "rankfeat", "train-ranker", "evaluate")
 
 
-def stage_pipeline(cfg: PipelineConfig) -> str:
-    summaries = []
+def stage_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> str:
+    cfg.in_dir = cfg.out_dir  # simulate reads no input; later stages read its corpus
     for stage in PIPELINE_STAGES:
-        if stage == "simulate":
-            summaries.append(stage_simulate(cfg))
-            cfg.in_dir = cfg.out_dir  # later stages read the generated corpus
-        elif stage == "evaluate":
-            summaries.append(stage_evaluate(cfg, "cv"))
-        else:
-            summaries.append(_STAGES[stage](cfg))
-        print(summaries[-1])
+        print(_STAGES[stage](cfg, args))
     return f"pipeline: {len(PIPELINE_STAGES)} stages complete -> {cfg.out_dir}"
 
 
+# Every subcommand, in --help order. The values stay plain functions:
+# benchmark/tracing.py finds a traced function in module-level dicts too.
 _STAGES = {
     "simulate": stage_simulate,
     "ingest": stage_ingest,
     "featurize": stage_featurize,
+    "graph-build": stage_graph_build,
+    "rankfeat": stage_rankfeat,
+    "pipeline": stage_pipeline,
     "cluster": stage_cluster,
     "train-community-classifier": stage_train_community_classifier,
     "assign": stage_assign,
-    "graph-build": stage_graph_build,
-    "rankfeat": stage_rankfeat,
     "train-ranker": stage_train_ranker,
-    "pipeline": stage_pipeline,
+    "recommend": stage_recommend,
+    "evaluate": stage_evaluate,
 }
 
 
@@ -298,66 +279,48 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", dest="out_dir", help="output directory")
 
 
+# flag -> (the subcommands that take it, its add_argument keywords). A
+# subcommand's flags follow the common four in this order. A flag whose dest
+# names a PipelineConfig field (or a _SIM_KEYS key) overrides that setting.
+_SIM = ("simulate", "pipeline")
+_FLAGS = {
+    "--readers": (_SIM, {"type": int, "dest": "sim_readers"}),
+    "--alpha": (_SIM, {"type": float, "dest": "sim_alpha"}),
+    "--noise": (_SIM, {"type": float, "dest": "sim_noise"}),
+    "--k-loc": (("featurize",), {"type": int}),
+    "--metapaths": (("graph-build", "pipeline"), {"dest": "metapath_file"}),
+    "--k": (("cluster", "pipeline"), {"type": int, "dest": "cluster_k"}),
+    "--distance": (("cluster",), {}),
+    "--lambda": (("train-community-classifier",), {"type": float, "dest": "lam"}),
+    "--mode": (("evaluate",), {"choices": ("cv", "missing-rpf"), "default": "cv"}),
+    "--folds": (("evaluate", "pipeline"), {"type": int}),
+    "--fraction": (("evaluate",), {"type": float}),
+    "--sim-folds": (("evaluate",), {"type": int}),
+    "--restarts": (("train-ranker", "evaluate", "pipeline"), {"type": int}),
+    "--threshold": (("train-ranker",), {"type": int}),
+    "--metric": (("train-ranker",), {}),
+    "--paper": (("recommend",), {"required": True}),
+    "--quote": (("recommend",), {"required": True}),
+    "--reader": (("recommend",), {}),
+    "--top": (("recommend",), {"type": int, "default": 5}),
+}
+_SIM_KEYS = {"sim_readers": "n_readers", "sim_alpha": "alpha",
+             "sim_noise": "grade_noise"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oerrec",
         description="Community-based OER recommendation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("simulate", "ingest", "featurize", "graph-build",
-                 "rankfeat", "pipeline"):
-        sp = sub.add_parser(name)
+    for command in _STAGES:
+        sp = sub.add_parser(command)
         _add_common(sp)
-        if name in ("simulate", "pipeline"):
-            sp.add_argument("--readers", type=int, dest="sim_readers")
-            sp.add_argument("--alpha", type=float, dest="sim_alpha")
-            sp.add_argument("--noise", type=float, dest="sim_noise")
-        if name == "featurize":
-            sp.add_argument("--k-loc", type=int, dest="k_loc")
-        if name in ("graph-build", "pipeline"):
-            sp.add_argument("--metapaths", dest="metapath_file")
-        if name == "pipeline":
-            sp.add_argument("--k", type=int, dest="cluster_k")
-            sp.add_argument("--folds", type=int, dest="folds")
-            sp.add_argument("--restarts", type=int, dest="restarts")
-
-    sp = sub.add_parser("cluster")
-    _add_common(sp)
-    sp.add_argument("--k", type=int, dest="cluster_k")
-    sp.add_argument("--distance", dest="distance")
-
-    sp = sub.add_parser("train-community-classifier")
-    _add_common(sp)
-    sp.add_argument("--lambda", type=float, dest="lam")
-
-    sp = sub.add_parser("assign")
-    _add_common(sp)
-
-    sp = sub.add_parser("train-ranker")
-    _add_common(sp)
-    sp.add_argument("--restarts", type=int, dest="restarts")
-    sp.add_argument("--threshold", type=int, dest="threshold")
-    sp.add_argument("--metric", dest="metric")
-
-    sp = sub.add_parser("recommend")
-    _add_common(sp)
-    sp.add_argument("--paper", required=True)
-    sp.add_argument("--quote", required=True)
-    sp.add_argument("--reader")
-    sp.add_argument("--top", type=int, default=5)
-
-    sp = sub.add_parser("evaluate")
-    _add_common(sp)
-    sp.add_argument("--mode", choices=("cv", "missing-rpf"), default="cv")
-    sp.add_argument("--folds", type=int, dest="folds")
-    sp.add_argument("--fraction", type=float, dest="fraction")
-    sp.add_argument("--sim-folds", type=int, dest="sim_folds")
-    sp.add_argument("--restarts", type=int, dest="restarts")
+        for flag, (commands, keywords) in _FLAGS.items():
+            if command in commands:
+                sp.add_argument(flag, **keywords)
+    sub.choices["pipeline"].set_defaults(mode="cv")  # its evaluate stage
     return parser
-
-
-_SIM_KEYS = {"sim_readers": "n_readers", "sim_alpha": "alpha",
-             "sim_noise": "grade_noise"}
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -374,23 +337,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         over = _overrides(args)
-        sim_over = over.pop("sim", None)
         cfg = load_config(args.config, over)
-        if sim_over:
-            cfg.sim = {**cfg.sim, **sim_over}
         cfg.require_seed()
-        cfg.overrides_echo = {**over, **({"sim": sim_over} if sim_over else {})}
+        cfg.overrides_echo = over
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         # snapshot before the command runs: pipeline repoints in_dir
         run_config = {"command": args.command, "config": cfg.to_dict()}
-
-        if args.command == "recommend":
-            summary = stage_recommend(cfg, args.paper, args.quote,
-                                      args.reader, args.top)
-        elif args.command == "evaluate":
-            summary = stage_evaluate(cfg, args.mode)
-        else:
-            summary = _STAGES[args.command](cfg)
+        summary = _STAGES[args.command](cfg, args)
         # the full effective config of the last successful command rides
         # along, so a run is reconstructible from its artifacts alone; the
         # read-only recommend leaves it as is

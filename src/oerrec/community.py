@@ -127,14 +127,19 @@ def write_communities(path, assignment: dict[str, int], source: dict[str, str],
               comment)
 
 
-def read_communities(path) -> tuple[dict[str, int], dict[str, str]]:
+def read_communities(path, k: int) -> tuple[dict[str, int], dict[str, str]]:
+    """Community and source per reader; a community outside [0, k) fails
+    with the file and line."""
     assignment: dict[str, int] = {}
     source: dict[str, str] = {}
 
     def row(reader: str, community: str, src: str) -> None:
         if reader in assignment:
             raise ValueError(f"reader {reader!r} listed twice")
-        assignment[reader], source[reader] = int(community), src
+        c = int(community)
+        if not 0 <= c < k:
+            raise ValueError(f"community {c} of reader {reader!r} is outside [0, {k})")
+        assignment[reader], source[reader] = c, src
 
     read_tsv(path, 3, row)
     return assignment, source

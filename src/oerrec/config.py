@@ -85,15 +85,15 @@ _TUPLE_FIELDS = {"cluster_groups", "classifier_groups"}
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
-    """Config file first, then flag overrides on top; unknown keys fail."""
+    """Config file first, then flag overrides on top; a `sim` override is
+    merged key by key over the file's `sim`. Unknown keys fail."""
     data: dict = {}
     if path is not None:
         data = load_json(Path(path))
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
     for key, value in (overrides or {}).items():
-        if value is not None:
-            data[key] = value
+        data[key] = {**data.get("sim", {}), **value} if key == "sim" else value
     known = {f.name for f in fields(PipelineConfig) if f.init}
     unknown = sorted(set(data) - known)
     if unknown:

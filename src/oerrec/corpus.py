@@ -295,7 +295,9 @@ def parse_corpus(
     _read_jsonl("events.jsonl", event_stream, corpus.events)
     _read_jsonl("oers.jsonl", oer_stream, corpus.oers)
 
-    judged: dict[str, dict] = {}
+    # query_id -> ((reader, paper, quote), {oer_id: grade}); a row of a known
+    # query builds nothing
+    judged: dict[str, tuple[tuple[str, str, str], dict[str, Grade]]] = {}
     for line_no, line in enumerate(judgment_stream or (), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -306,19 +308,21 @@ def parse_corpus(
                 raise ValueError(f"expected 6 tab-separated columns, got {len(cols)}")
             query_id, reader_id, paper_id, quote_text, oer_id, grade_raw = cols
             grade = _parse_grade(grade_raw)
-            entry = judged.setdefault(
-                query_id, {"reader": reader_id, "paper": paper_id, "quote": quote_text, "oers": {}})
-            if (entry["reader"], entry["paper"], entry["quote"]) != (reader_id, paper_id, quote_text):
-                raise ValueError(f"query {query_id!r} repeated with conflicting reader/paper/quote")
-            if oer_id in entry["oers"]:
+            known = judged.get(query_id)
+            if known is None:
+                query, oers = judged[query_id] = (reader_id, paper_id, quote_text), {}
+            else:
+                query, oers = known
+                if query != (reader_id, paper_id, quote_text):
+                    raise ValueError(
+                        f"query {query_id!r} repeated with conflicting reader/paper/quote")
+            if oer_id in oers:
                 raise ValueError(f"OER {oer_id!r} judged twice in query {query_id!r}")
         except ValueError as exc:
             raise CorpusFormatError("judgments.tsv", line_no, str(exc)) from exc
-        entry["oers"][oer_id] = grade
-    for query_id, entry in judged.items():
-        corpus.queries[query_id] = JudgedQuery(
-            query_id, entry["reader"], entry["paper"], entry["quote"],
-            tuple(entry["oers"].items()))
+        oers[oer_id] = grade
+    for query_id, (query, oers) in judged.items():
+        corpus.queries[query_id] = JudgedQuery(query_id, *query, tuple(oers.items()))
 
     # Readers seen only through their behavior get a profile-less record.
     for event in corpus.events.values():

@@ -1,6 +1,8 @@
 """Per-candidate ranking features for a highlighted-passage query: one
 meta-path walk score per configured path, two text scores, and four OER-type
-indicators, in a fixed order shared by training and inference."""
+indicators, in a fixed order shared by training and inference; and
+rankfeat.json, which carries them from `rankfeat` to `train-ranker` and
+`evaluate`."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from .corpus import Corpus, OerItem, OerType
 from .hetgraph import HetGraph, MetaPath, WalkResult, metapath_score
 from .retrieval import CollectionStats, bm25_score, lm_score
 from .text import tokenize
+from .util import dump_json, load_json
 
 # Keeps the language-model feature finite when mu=0 degenerates the
 # log-likelihood; min-max normalization later maps it to the bottom of the
@@ -129,3 +132,29 @@ def build_query_features(
         X = extractor.extract(q.paper_id, q.quote_text, candidates)
         out.append(QueryFeatures(query_id, q.reader_id, candidates, gains, X))
     return out
+
+
+# -- rankfeat.json -------------------------------------------------------
+
+def write_rankfeat(path, feature_names: tuple[str, ...], queries: list[QueryFeatures],
+                   meta: dict) -> None:
+    dump_json(path, {
+        "feature_names": list(feature_names),
+        "queries": [
+            {"query_id": q.query_id, "reader_id": q.reader_id,
+             "candidates": list(q.candidates), "gains": q.gains.tolist(),
+             "X": q.X.tolist()}
+            for q in queries
+        ],
+    }, meta)
+
+
+def read_rankfeat(path) -> tuple[tuple[str, ...], list[QueryFeatures]]:
+    d = load_json(path)
+    queries = [
+        QueryFeatures(q["query_id"], q["reader_id"], tuple(q["candidates"]),
+                      np.asarray(q["gains"], dtype=np.int64),
+                      np.asarray(q["X"], dtype=np.float64))
+        for q in d["queries"]
+    ]
+    return tuple(d["feature_names"]), queries

@@ -1,5 +1,6 @@
 """Command-line driver: stage wiring, reproducibility, and error handling."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 from oerrec import ranker
-from oerrec.cli import main
+from oerrec.cli import build_parser, main
 from oerrec.util import load_json
 
 CORPUS_FILES = ("readers.jsonl", "events.jsonl", "oers.jsonl", "judgments.tsv")
 PIPELINE_ARGS = ["--seed", "3", "--readers", "15", "--folds", "3", "--restarts", "2"]
+# what train-ranker and evaluate --mode cv read from --out, sorted
+STAGED_RANKER_INPUTS = ("cluster_eval.json", "communities.tsv", "rankfeat.json")
 
 
 def run_cli(argv):
@@ -101,7 +104,7 @@ class TestErrors:
             self, pipeline_dir, tmp_path, monkeypatch, capsys):
         # the community models' trainings see no positive gain, so they
         # raise in pool workers while the global model trains
-        for name in ("rankfeat.json", "communities.tsv"):
+        for name in STAGED_RANKER_INPUTS:
             shutil.copy(pipeline_dir / name, tmp_path / name)
         train = ranker.coordinate_ascent_train
 
@@ -117,8 +120,7 @@ class TestErrors:
                         "--restarts", "1", "--threshold", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: untrainable: no query with a positive gain\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["communities.tsv",
-                                                             "rankfeat.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == list(STAGED_RANKER_INPUTS)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
@@ -128,14 +130,13 @@ class TestErrors:
                              ids=["train-ranker-0", "evaluate-0", "evaluate-minus-2"])
     def test_restarts_below_one_rejected(self, pipeline_dir, tmp_path, monkeypatch,
                                          capsys, argv, cpus):
-        for name in ("rankfeat.json", "communities.tsv"):
+        for name in STAGED_RANKER_INPUTS:
             shutil.copy(pipeline_dir / name, tmp_path / name)
         monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
         assert run_cli([*argv, "--out", tmp_path, "--seed", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: restarts must be >= 1, got {argv[-1]}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["communities.tsv",
-                                                             "rankfeat.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == list(STAGED_RANKER_INPUTS)
         assert multiprocessing.active_children() == []
 
     def test_broken_config_file_is_named(self, tmp_path, capsys):
@@ -192,6 +193,26 @@ class TestFailureKeepsEarlierRun:
         before = snapshot(run)
         assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
         assert capsys.readouterr().err == f"error: {name}:{line}: {message}\n"
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["recommend", "--paper", "p00", "--quote", "topic00", "--reader", "r000"],
+        ["train-ranker"], ["train-community-classifier"], ["assign"], ["evaluate"],
+    ], ids=["recommend", "train-ranker", "train-community-classifier", "assign",
+            "evaluate"])
+    def test_community_outside_k_names_its_line(self, run, capsys, argv):
+        # the pipeline clustered with k=3; cluster_eval.json records it
+        assert load_json(run / "cluster_eval.json")["k"] == 3
+        lines = (run / "communities.tsv").read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("r000\t"))
+        lines[i] = "r000\t7\tclustered\n"
+        (run / "communities.tsv").write_text("".join(lines))
+        before = snapshot(run)
+        assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: communities.tsv:{i + 1}: community 7 of "
+                                f"reader 'r000' is outside [0, 3)\n")
+        assert captured.out == ""
         assert snapshot(run) == before
 
     @pytest.mark.parametrize("text, message", [
@@ -258,6 +279,18 @@ class TestStages:
         cfg.write_text(json.dumps({"seed": 5, "sim": {"n_readers": 6}}))
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 0
         assert "6 readers" in capsys.readouterr().out
+
+    def test_sim_flags_merge_over_the_config_files_sim(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)  # default --out, so the overrides are --readers alone
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 5, "sim": {"alpha": 0.5}}))
+        assert run_cli(["simulate", "--config", "cfg.json", "--readers", "6"]) == 0
+        assert "6 readers" in capsys.readouterr().out
+        sim = load_json(tmp_path / "out" / "sim_config.json")
+        assert (sim["alpha"], sim["n_readers"], sim["seed"]) == (0.5, 6, 5)
+        run_config = load_json(tmp_path / "out" / "run_config.json")
+        assert run_config["_meta"]["overrides"] == {"sim": {"n_readers": 6}}
+        assert run_config["config"]["sim"] == {"alpha": 0.5, "n_readers": 6}
 
     def test_ingest_copies_and_validates(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -389,6 +422,58 @@ class TestStages:
         assert "evaluate[missing-rpf]" in capsys.readouterr().out
         report = load_json(pipeline_dir / "report_missing_rpf.json")
         assert "community_prediction_accuracy" in report["extras"]
+
+
+# Each subcommand's options after --config/--seed/--in/--out, in order:
+# (option, dest, type, default, required, choices).
+COMMON_OPTIONS = [("--config", "config", None, None, False, None),
+                  ("--seed", "seed", int, None, False, None),
+                  ("--in", "in_dir", None, None, False, None),
+                  ("--out", "out_dir", None, None, False, None)]
+SIM_OPTIONS = [("--readers", "sim_readers", int, None, False, None),
+               ("--alpha", "sim_alpha", float, None, False, None),
+               ("--noise", "sim_noise", float, None, False, None)]
+CLI_SURFACE = {
+    "simulate": SIM_OPTIONS,
+    "ingest": [],
+    "featurize": [("--k-loc", "k_loc", int, None, False, None)],
+    "graph-build": [("--metapaths", "metapath_file", None, None, False, None)],
+    "rankfeat": [],
+    "pipeline": [*SIM_OPTIONS,
+                 ("--metapaths", "metapath_file", None, None, False, None),
+                 ("--k", "cluster_k", int, None, False, None),
+                 ("--folds", "folds", int, None, False, None),
+                 ("--restarts", "restarts", int, None, False, None)],
+    "cluster": [("--k", "cluster_k", int, None, False, None),
+                ("--distance", "distance", None, None, False, None)],
+    "train-community-classifier": [("--lambda", "lam", float, None, False, None)],
+    "assign": [],
+    "train-ranker": [("--restarts", "restarts", int, None, False, None),
+                     ("--threshold", "threshold", int, None, False, None),
+                     ("--metric", "metric", None, None, False, None)],
+    "recommend": [("--paper", "paper", None, None, True, None),
+                  ("--quote", "quote", None, None, True, None),
+                  ("--reader", "reader", None, None, False, None),
+                  ("--top", "top", int, 5, False, None)],
+    "evaluate": [("--mode", "mode", None, "cv", False, ("cv", "missing-rpf")),
+                 ("--folds", "folds", int, None, False, None),
+                 ("--fraction", "fraction", float, None, False, None),
+                 ("--sim-folds", "sim_folds", int, None, False, None),
+                 ("--restarts", "restarts", int, None, False, None)],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        command: [(a.option_strings[0], a.dest, a.type, a.default, a.required, a.choices)
+                  for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        for command, sp in sub.choices.items()
+    }
+    assert list(surface) == list(CLI_SURFACE)
+    for command, options in CLI_SURFACE.items():
+        assert surface[command] == COMMON_OPTIONS + options, command
 
 
 class TestReproducibility:

@@ -130,7 +130,8 @@ def run_two_step(corpus_dir, out, *extra):
         src = ["--in", str(corpus_dir)] if stage in ("ingest", "featurize") else []
         argv = [stage, *src, "--out", str(out), "--seed", str(TWO_STEP_SEED), *extra]
         assert cli_main(argv) == 0, stage
-    return read_communities(out / "communities.tsv")
+    return read_communities(out / "communities.tsv",
+                            load_json(out / "cluster_eval.json")["k"])
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,16 @@ class TestCommunitiesFile:
         lines = path.read_text().splitlines()
         assert lines[0] == "# reader_id\tcommunity\tsource"
         assert lines[1] == "# config_hash=abc seed=1"
-        got_assignment, got_source = read_communities(path)
+        got_assignment, got_source = read_communities(
+            path, k=max(assignment.values()) + 1)
         assert got_assignment == assignment
         assert got_source == source
+
+    @pytest.mark.parametrize("community", [-1, 2])
+    def test_community_outside_k_rejected(self, tmp_path, community):
+        path = tmp_path / "communities.tsv"
+        write_communities(path, {"r1": 0, "r2": community}, {})
+        with pytest.raises(ValueError, match=(
+                rf"^communities.tsv:3: community {community} of reader 'r2' "
+                rf"is outside \[0, 2\)$")):
+            read_communities(path, k=2)

@@ -173,6 +173,19 @@ class TestBuildQueryFeatures:
         assert np.array_equal(q1.X, direct)
 
 
+def test_rankfeat_file_round_trip(extractor, toy_corpus, tmp_path):
+    queries = build_query_features(toy_corpus, extractor)
+    path = tmp_path / "rankfeat.json"
+    rankfeatures.write_rankfeat(path, extractor.feature_names, queries, {"seed": 1})
+    names, got = rankfeatures.read_rankfeat(path)
+    assert names == extractor.feature_names
+    assert [(q.query_id, q.reader_id, q.candidates) for q in got] == \
+        [(q.query_id, q.reader_id, q.candidates) for q in queries]
+    for a, b in zip(got, queries):
+        assert a.gains.dtype == np.int64 and np.array_equal(a.gains, b.gains)
+        assert a.X.dtype == np.float64 and np.array_equal(a.X, b.X)
+
+
 def test_each_start_set_is_walked_once(tmp_path, monkeypatch, capsys):
     """build_query_features walks each distinct (start set, meta-path) once,
     and every query's rows equal those of an extractor that has walked
