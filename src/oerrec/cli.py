@@ -44,6 +44,12 @@ def _read_communities(cfg: PipelineConfig) -> tuple[dict[str, int], dict[str, st
     return community_mod.read_communities(out / "communities.tsv", k)
 
 
+def _clustered(cfg: PipelineConfig) -> dict[str, int]:
+    """The communities that cluster wrote, without any earlier predictions."""
+    assignment, source = _read_communities(cfg)
+    return {r: c for r, c in assignment.items() if source[r] == "clustered"}
+
+
 def _extractor(cfg: PipelineConfig, oers) -> RankFeatureExtractor:
     """Rank features over graph-build's graph and meta-paths in --out."""
     out = Path(cfg.out_dir)
@@ -113,10 +119,8 @@ def stage_cluster(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 
 
 def stage_train_community_classifier(cfg: PipelineConfig, args: argparse.Namespace) -> str:
-    assignment, source = _read_communities(cfg)
-    clustered = {r: c for r, c in assignment.items() if source[r] == "clustered"}
     model = community_mod.fit_behavior_classifier(
-        _load_features(cfg), clustered, cfg.classifier_groups, cfg.lam)
+        _load_features(cfg), _clustered(cfg), cfg.classifier_groups, cfg.lam)
     out = Path(cfg.out_dir) / "maxent.json"
     dump_json(out, model.to_dict(), cfg.meta("train-community-classifier"))
     return (f"train-community-classifier: {model.n_classes} classes, "
@@ -127,23 +131,23 @@ def stage_train_community_classifier(cfg: PipelineConfig, args: argparse.Namespa
 def stage_assign(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     fm = _load_features(cfg)
     out = Path(cfg.out_dir)
-    assignment, source = _read_communities(cfg)
+    clustered = _clustered(cfg)  # a rerun predicts afresh
     model = maxent.MaxEntModel.from_dict(load_json(out / "maxent.json"))
-    predicted = community_mod.predict_behavior(fm, model, assignment,
+    predicted = community_mod.predict_behavior(fm, model, clustered,
                                                cfg.classifier_groups)
-    assignment.update(predicted)
-    source.update({r: "predicted" for r in predicted})
-    community_mod.write_communities(out / "communities.tsv", assignment, source,
+    community_mod.write_communities(out / "communities.tsv", {**clustered, **predicted},
+                                    {r: "predicted" for r in predicted},
                                     _comment(cfg, "assign"))
-    return (f"assign: {len(assignment)} readers "
-            f"({sum(1 for s in source.values() if s == 'predicted')} predicted)")
+    return (f"assign: {len(clustered) + len(predicted)} readers "
+            f"({len(predicted)} predicted)")
 
 
 def stage_graph_build(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     in_dir = Path(cfg.in_dir)
     graph = hetgraph.read_graph(in_dir / "vertices.tsv", in_dir / "edges.tsv")
-    mp_path = cfg.metapath_file or (in_dir / "metapaths.json")
-    if Path(mp_path).exists():
+    # the built-in meta-paths stand in only when no file is named
+    mp_path = Path(cfg.metapath_file or in_dir / "metapaths.json")
+    if cfg.metapath_file or mp_path.exists():
         paths = hetgraph.read_metapaths(mp_path)
     else:
         paths = hetgraph.default_metapaths()
@@ -246,6 +250,8 @@ PIPELINE_STAGES = ("simulate", "ingest", "featurize", "cluster",
 
 
 def stage_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> str:
+    if cfg.metapath_file:  # a bad file fails before simulate writes
+        hetgraph.read_metapaths(cfg.metapath_file)
     cfg.in_dir = cfg.out_dir  # simulate reads no input; later stages read its corpus
     for stage in PIPELINE_STAGES:
         print(_STAGES[stage](cfg, args))
@@ -272,18 +278,18 @@ _STAGES = {
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--seed", type=int, help="master seed (mandatory here or in config)")
-    sp.add_argument("--in", dest="in_dir", help="input directory")
-    sp.add_argument("--out", dest="out_dir", help="output directory")
-
-
-# flag -> (the subcommands that take it, its add_argument keywords). A
-# subcommand's flags follow the common four in this order. A flag whose dest
-# names a PipelineConfig field (or a _SIM_KEYS key) overrides that setting.
+# flag -> (the subcommands that take it, its add_argument keywords), in
+# --help order. A flag whose dest names a PipelineConfig field (or a
+# _SIM_KEYS key) overrides that setting.
+_ALL = tuple(_STAGES)
 _SIM = ("simulate", "pipeline")
+# simulate reads no input, and pipeline reads the corpus its simulate wrote
+_READS = tuple(c for c in _ALL if c not in _SIM)
 _FLAGS = {
+    "--config": (_ALL, {"help": "JSON config file"}),
+    "--seed": (_ALL, {"type": int, "help": "master seed (mandatory here or in config)"}),
+    "--in": (_READS, {"dest": "in_dir", "help": "input directory"}),
+    "--out": (_ALL, {"dest": "out_dir", "help": "output directory"}),
     "--readers": (_SIM, {"type": int, "dest": "sim_readers"}),
     "--alpha": (_SIM, {"type": float, "dest": "sim_alpha"}),
     "--noise": (_SIM, {"type": float, "dest": "sim_noise"}),
@@ -315,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _STAGES:
         sp = sub.add_parser(command)
-        _add_common(sp)
         for flag, (commands, keywords) in _FLAGS.items():
             if command in commands:
                 sp.add_argument(flag, **keywords)

@@ -43,27 +43,14 @@ class LocationClusterModel:
     """Per-paper clustering of event locations.
 
     centers[paper_id] is an ordered list of raw (page, x_center, y_center)
-    medoid locations; assignment maps a bbox to the nearest center in the
-    embedded (page + y_center, x_center) space, ties to the lower index.
+    medoid locations; cluster[event_id] is the index of the center nearest
+    to that located event in the embedded (page + y_center, x_center)
+    space, ties to the lower index.
     """
 
     k_loc: int
     centers: dict[str, list[tuple[int, float, float]]] = field(default_factory=dict)
-
-    def assign(self, paper_id: str, page: int, bbox: tuple[float, float, float, float]) -> int:
-        clusters = self.centers.get(paper_id)
-        if not clusters:
-            raise KeyError(f"no location clusters fitted for paper {paper_id!r}")
-        v, x = location_point(page, bbox)
-        embedded = np.array([location_point(p, (cx, cy, cx, cy)) for p, cx, cy in clusters])
-        d = np.hypot(embedded[:, 0] - v, embedded[:, 1] - x)
-        return int(np.argmin(d))
-
-    def column_labels(self) -> list[str]:
-        labels = []
-        for paper_id in sorted(self.centers):
-            labels.extend(f"{paper_id}:{ci}" for ci in range(len(self.centers[paper_id])))
-        return labels
+    cluster: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -91,19 +78,26 @@ def build_location_clusters(corpus: Corpus, k_loc: int = 10, seed: int = 0) -> L
         pts = np.array([location_point(e.page, e.bbox) for e in events])
         k = min(k_loc, len({tuple(p) for p in pts}))
         rng = rng_for(seed, f"loc:{paper_id}")
-        result = kmedoids(pts, k, rng, metric="euclidean")
+        medoids = list(kmedoids(pts, k, rng, metric="euclidean").medoid_indices)
         model.centers[paper_id] = [
             (events[m].page,
              (events[m].bbox[0] + events[m].bbox[2]) / 2.0,
              (events[m].bbox[1] + events[m].bbox[3]) / 2.0)
-            for m in result.medoid_indices
+            for m in medoids
         ]
+        # A medoid's point is its center's embedding, as (c + c) / 2 == c, so
+        # these are exact distances to the centers; argmin ties to the lower
+        # index. The kmedoids assignment is not reused: it comes from
+        # Gram-trick distances (pairwise_distances), whose rounding may split
+        # exact ties, such as those of quantized bboxes, the other way.
+        nearest = np.argmin(np.hypot(pts[:, None, 0] - pts[medoids, 0],
+                                     pts[:, None, 1] - pts[medoids, 1]), axis=1)
+        model.cluster.update(zip((e.event_id for e in events), nearest.tolist()))
     return model
 
 
 @dataclass
 class FeatureGroup:
-    name: str
     labels: tuple[str, ...]
     matrix: np.ndarray  # (n_readers, len(labels))
 
@@ -139,18 +133,13 @@ class FeatureMatrix:
         idx = [self._row[r] for r in keep]
         return FeatureMatrix(
             tuple(keep),
-            {n: FeatureGroup(g.name, g.labels, g.matrix[idx]) for n, g in self.groups.items()},
+            {n: FeatureGroup(g.labels, g.matrix[idx]) for n, g in self.groups.items()},
             {r: self.has_rpf[r] for r in keep},
             dict(self.settings),
         )
 
 
-_QUOTE = frozenset({EventKind.QUOTE})
-_QUESTION = frozenset({EventKind.QUESTION})
-_CQ = frozenset({EventKind.COMMENT, EventKind.QUESTION})
-
-
-def extract_rpf(corpus: Corpus) -> FeatureMatrix:
+def extract_rpf(corpus: Corpus) -> dict[str, FeatureGroup]:
     """Profile groups: course membership (boolean) and skill ordinals in [0,1].
 
     Skill level v in 1..4 maps to v/4 so that an absent skill (0) stays
@@ -169,53 +158,44 @@ def extract_rpf(corpus: Corpus) -> FeatureMatrix:
             C[i, course_idx[c]] = 1.0
         for s, level in profile.skills.items():
             T[i, skill_idx[s]] = level / 4.0
-    return FeatureMatrix(
-        readers,
-        {"RPF-C": FeatureGroup("RPF-C", tuple(courses), C),
-         "RPF-TB": FeatureGroup("RPF-TB", tuple(skills), T)},
-        {r: corpus.readers[r].has_rpf for r in readers},
-    )
+    return {"RPF-C": FeatureGroup(tuple(courses), C),
+            "RPF-TB": FeatureGroup(tuple(skills), T)}
 
 
-def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> FeatureMatrix:
+def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> dict[str, FeatureGroup]:
     """The eight behavior groups of the feature table, one row per reader."""
     readers = tuple(sorted(corpus.readers))
     ridx = {r: i for i, r in enumerate(readers)}
-    groups: dict[str, FeatureGroup] = {}
-
-    loc_labels = tuple(loc_model.column_labels())
-    loc_col = {label: j for j, label in enumerate(loc_labels)}
-    QL = np.zeros((len(readers), len(loc_labels)))
-    CQL = np.zeros((len(readers), len(loc_labels)))
+    by_kind: dict[EventKind, list] = {kind: [] for kind in EventKind}
     for event in corpus.events.values():
-        if event.kind not in LOCATED_KINDS:
-            continue
-        ci = loc_model.assign(event.paper_id, event.page, event.bbox)
-        col = loc_col[f"{event.paper_id}:{ci}"]
-        if event.kind is EventKind.QUOTE:
-            QL[ridx[event.reader_id], col] += 1.0
-        else:
-            CQL[ridx[event.reader_id], col] += 1.0
-    groups["QuoteLocation"] = FeatureGroup("QuoteLocation", loc_labels, QL)
-    groups["CQLocation"] = FeatureGroup("CQLocation", loc_labels, CQL)
+        by_kind[event.kind].append(event)
+    quotes, questions = by_kind[EventKind.QUOTE], by_kind[EventKind.QUESTION]
+    cq = by_kind[EventKind.COMMENT] + questions
 
-    for name, kinds, attr in (
-        ("QuoteText", _QUOTE, "quote_text"),
-        ("QuestionText", _QUESTION, "content_text"),
-        ("CQQuoteText", _CQ, "quote_text"),
-        ("CQContentText", _CQ, "content_text"),
-    ):
-        terms, M = term_counts(((ridx[e.reader_id], getattr(e, attr))
-                                for e in corpus.events.values() if e.kind in kinds),
-                               len(readers))
-        groups[name] = FeatureGroup(name, terms, M)
+    # Each paper's location columns follow those of the papers sorted before it.
+    first_col: dict[str, int] = {}
+    loc_labels: list[str] = []
+    for paper_id in sorted(loc_model.centers):
+        first_col[paper_id] = len(loc_labels)
+        loc_labels.extend(f"{paper_id}:{ci}" for ci in range(len(loc_model.centers[paper_id])))
 
-    # Latest rating wins per (reader, oer); NotSure leaves the cell absent.
+    def location_group(events) -> FeatureGroup:
+        M = np.zeros((len(readers), len(loc_labels)))
+        for e in events:
+            M[ridx[e.reader_id], first_col[e.paper_id] + loc_model.cluster[e.event_id]] += 1.0
+        return FeatureGroup(tuple(loc_labels), M)
+
+    def text_group(events, attr: str) -> FeatureGroup:
+        return FeatureGroup(*term_counts(((ridx[e.reader_id], getattr(e, attr)) for e in events),
+                                         len(readers)))
+
+    # Latest rating wins per (reader, oer), later events breaking timestamp
+    # ties; NotSure leaves the cell absent.
     oer_ids = tuple(sorted(corpus.oers))
     oer_col = {o: j for j, o in enumerate(oer_ids)}
     latest: dict[tuple[str, str], tuple[tuple[int, int], Grade]] = {}
-    for order, event in enumerate(corpus.events.values()):
-        if event.kind is not EventKind.RATING or event.oer_id not in oer_col:
+    for order, event in enumerate(by_kind[EventKind.RATING]):
+        if event.oer_id not in oer_col:
             continue
         key = (event.reader_id, event.oer_id)
         stamp = (event.timestamp, order)
@@ -225,7 +205,6 @@ def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> FeatureMatri
     for (reader_id, oer_id), (_, grade) in latest.items():
         if grade.gain is not None:
             R[ridx[reader_id], oer_col[oer_id]] = float(grade.gain)
-    groups["OerRating"] = FeatureGroup("OerRating", oer_ids, R)
 
     # Undirected reply-exchange counts, hence a symmetric block.
     A = np.zeros((len(readers), len(readers)))
@@ -233,26 +212,30 @@ def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> FeatureMatri
         i, j = ridx[replier], ridx[replied_to]
         A[i, j] += 1.0
         A[j, i] += 1.0
-    groups["ReplyRelation"] = FeatureGroup("ReplyRelation", readers, A)
 
-    ordered = {name: groups[name] for name in GROUP_ORDER if name in groups}
-    return FeatureMatrix(
-        readers, ordered, {r: corpus.readers[r].has_rpf for r in readers},
-        {"tokenizer": TOKENIZER_RECORD, "k_loc": loc_model.k_loc},
-    )
+    return {
+        "QuoteLocation": location_group(quotes),
+        "QuoteText": text_group(quotes, "quote_text"),
+        "QuestionText": text_group(questions, "content_text"),
+        "OerRating": FeatureGroup(oer_ids, R),
+        "CQLocation": location_group(cq),
+        "CQQuoteText": text_group(cq, "quote_text"),
+        "CQContentText": text_group(cq, "content_text"),
+        "ReplyRelation": FeatureGroup(readers, A),
+    }
 
 
 def extract_features(corpus: Corpus, k_loc: int = 10, seed: int = 0) -> FeatureMatrix:
     """All ten groups in canonical order, plus the location model echo."""
     loc_model = build_location_clusters(corpus, k_loc, fork_seed(seed, "locclust"))
-    rpf = extract_rpf(corpus)
-    rbf = extract_rbf(corpus, loc_model)
-    groups = dict(rpf.groups)
-    groups.update(rbf.groups)
-    ordered = {name: groups[name] for name in GROUP_ORDER}
-    settings = dict(rbf.settings)
-    settings["location_model"] = loc_model.to_dict()
-    return FeatureMatrix(rpf.reader_ids, ordered, rpf.has_rpf, settings)
+    groups = {**extract_rpf(corpus), **extract_rbf(corpus, loc_model)}
+    readers = tuple(sorted(corpus.readers))
+    return FeatureMatrix(
+        readers, {name: groups[name] for name in GROUP_ORDER},
+        {r: corpus.readers[r].has_rpf for r in readers},
+        {"tokenizer": TOKENIZER_RECORD, "k_loc": loc_model.k_loc,
+         "location_model": loc_model.to_dict()},
+    )
 
 
 @dataclass
@@ -324,5 +307,5 @@ def features_from_dict(d: dict) -> FeatureMatrix:
             row = gd["rows"].get(rid)
             if row:
                 M[i, row["i"]] = row["v"]
-        groups[gd["name"]] = FeatureGroup(gd["name"], tuple(gd["labels"]), M)
+        groups[gd["name"]] = FeatureGroup(tuple(gd["labels"]), M)
     return FeatureMatrix(readers, groups, dict(d["has_rpf"]), d.get("settings", {}))

@@ -42,6 +42,15 @@ class TestErrors:
         assert run_cli(["simulate", "--out", tmp_path]) == 1
         assert "seed is mandatory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_in_rejected_where_nothing_is_read(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--in", tmp_path / "nowhere", "--out", tmp_path / "out",
+                     "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --in" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_corpus(self, tmp_path, capsys):
         assert run_cli([
             "featurize", "--in", tmp_path / "nowhere", "--out", tmp_path,
@@ -229,6 +238,18 @@ class TestFailureKeepsEarlierRun:
         assert run_cli(["graph-build", "--in", run, "--out", run, "--seed", "3",
                         "--metapaths", paths]) == 1
         assert capsys.readouterr().err == f"error: {paths}: {message}\n"
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("command", ["graph-build", "pipeline"])
+    def test_missing_metapaths_file_is_named(self, run, tmp_path, capsys, command):
+        # a named file never falls back to the built-in meta-paths
+        missing = tmp_path / "missing.json"
+        own = ["--in", run] if command == "graph-build" else PIPELINE_ARGS[2:]
+        before = snapshot(run)
+        assert run_cli([command, *own, "--out", run, "--seed", "3",
+                        "--metapaths", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
         assert snapshot(run) == before
 
     def test_weight_of_a_group_not_clustered_rejected(self, run, tmp_path, capsys):
@@ -433,6 +454,9 @@ COMMON_OPTIONS = [("--config", "config", None, None, False, None),
 SIM_OPTIONS = [("--readers", "sim_readers", int, None, False, None),
                ("--alpha", "sim_alpha", float, None, False, None),
                ("--noise", "sim_noise", float, None, False, None)]
+# simulate reads no input, and pipeline reads the corpus its simulate
+# wrote, so neither takes --in
+NO_IN = [option for option in COMMON_OPTIONS if option[0] != "--in"]
 CLI_SURFACE = {
     "simulate": SIM_OPTIONS,
     "ingest": [],
@@ -473,7 +497,8 @@ def test_cli_surface_is_pinned():
     }
     assert list(surface) == list(CLI_SURFACE)
     for command, options in CLI_SURFACE.items():
-        assert surface[command] == COMMON_OPTIONS + options, command
+        common = NO_IN if command in ("simulate", "pipeline") else COMMON_OPTIONS
+        assert surface[command] == common + options, command
 
 
 class TestReproducibility:

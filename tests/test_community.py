@@ -3,6 +3,7 @@ assignment of readers without a profile."""
 
 import json
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,24 @@ class TestTwoStep:
         run_two_step(corpus_dir, b)
         assert ((a / "communities.tsv").read_bytes()
                 == (b / "communities.tsv").read_bytes())
+
+    def test_rerun_assign_matches_a_fresh_chain(self, sim, tmp_path):
+        # A second assign labels with the clustered rows only, so predictions
+        # of an earlier assign do not stay on as labels.
+        *_, assignment, source, corpus_dir = sim
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        run_two_step(corpus_dir, stale)
+        shutil.copytree(stale, fresh)
+        seed = ["--seed", str(TWO_STEP_SEED)]
+        assert cli_main(["cluster", "--out", str(fresh), *seed]) == 0
+        for out in (stale, fresh):
+            assert cli_main(["train-community-classifier", "--out", str(out), *seed,
+                             "--lambda", "500"]) == 0
+            assert cli_main(["assign", "--out", str(out), *seed]) == 0
+        assert ((stale / "communities.tsv").read_bytes()
+                == (fresh / "communities.tsv").read_bytes())
+        moved, _ = read_communities(fresh / "communities.tsv", 3)
+        assert any(moved[r] != assignment[r] for r, s in source.items() if s == "predicted")
 
     def test_predictions_recover_latent_structure(self, sim):
         # The classifier should map most held-out readers to the community

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oerrec.corpus import EventKind, parse_corpus
+from oerrec.corpus import LOCATED_KINDS, EventKind, parse_corpus
 from oerrec.features import (
     GROUP_ORDER,
     RBF_GROUPS,
@@ -61,9 +61,7 @@ class TestLocationClusters:
         corpus = parse_corpus(lines)
         model = build_location_clusters(corpus, k_loc=2)
         assert len(model.centers["p1"]) == 2
-        assigned = [
-            model.assign("p1", 0 if i < 3 else 9, bb) for i, bb in enumerate(bbs)
-        ]
+        assigned = [model.cluster[f"e{i}"] for i in range(len(bbs))]
         assert len(set(assigned[:3])) == 1
         assert len(set(assigned[3:])) == 1
         assert assigned[0] != assigned[3]
@@ -80,6 +78,41 @@ class TestLocationClusters:
             for p in pts
         )
         assert cost == pytest.approx(best_cost, abs=1e-9)
+
+    def test_equidistant_event_goes_to_the_lower_center(self):
+        # Three quotes centered at x = 0.25, three at x = 0.75 and one at
+        # x = 0.5: every coordinate is a sum of powers of two, so the middle
+        # quote is exactly 0.25 from both centers.
+        xs = [0.25] * 3 + [0.75] * 3 + [0.5]
+        lines = [quote_line(f"e{i}", "r1", "p1", 0, (x - 0.125, 0.25, x + 0.125, 0.75), "x", i)
+                 for i, x in enumerate(xs)]
+        model = build_location_clusters(parse_corpus(lines), k_loc=2)
+        centers = model.centers["p1"]
+        assert sorted(cx for _, cx, _ in centers) == [0.25, 0.75]
+        mid = location_point(0, (0.375, 0.25, 0.625, 0.75))
+        d = [np.hypot(c[0] - mid[0], c[1] - mid[1])
+             for c in (location_point(p, (cx, cy, cx, cy)) for p, cx, cy in centers)]
+        assert d[0] == d[1] == 0.25
+        assert model.cluster["e6"] == 0
+        assert [model.cluster[f"e{i}"] for i in range(6)] == [
+            [cx for _, cx, _ in centers].index(x) for x in xs[:6]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cluster_is_the_nearest_embedded_center(self, seed):
+        corpus = generate(SimConfig(n_readers=12, n_communities=3,
+                                    events_per_reader=6.0, seed=seed)).corpus
+        model = build_location_clusters(corpus, k_loc=3, seed=seed)
+        located = [e for e in corpus.events.values() if e.kind in LOCATED_KINDS]
+        assert located and set(model.cluster) == {e.event_id for e in located}
+        for e in located:
+            v, x = location_point(e.page, e.bbox)
+            best, best_d = None, None
+            for ci, (p, cx, cy) in enumerate(model.centers[e.paper_id]):
+                cv, cxx = location_point(p, (cx, cy, cx, cy))
+                d = np.hypot(cv - v, cxx - x)
+                if best_d is None or d < best_d:  # ties keep the lower index
+                    best, best_d = ci, d
+            assert model.cluster[e.event_id] == best, e.event_id
 
     def test_cluster_count_capped_by_distinct_points(self, toy_corpus):
         model = build_location_clusters(toy_corpus, k_loc=10)
@@ -244,8 +277,8 @@ class TestReplyRelation:
 
 
 def two_group_matrix():
-    a = FeatureGroup("RPF-C", ("a",), np.array([[3.0]]))
-    b = FeatureGroup("RPF-TB", ("b",), np.array([[4.0]]))
+    a = FeatureGroup(("a",), np.array([[3.0]]))
+    b = FeatureGroup(("b",), np.array([[4.0]]))
     return FeatureMatrix(("r1",), {"RPF-C": a, "RPF-TB": b}, {"r1": True})
 
 

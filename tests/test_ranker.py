@@ -516,7 +516,7 @@ PINNED_C9 = {
 
 def test_c9_models_keep_their_pinned_bits(tmp_path, capsys):
     run = ["--in", str(tmp_path), "--out", str(tmp_path), "--seed", "3"]
-    assert cli_main(["simulate", *run, "--readers", "24"]) == 0
+    assert cli_main(["simulate", *run[2:], "--readers", "24"]) == 0  # reads no --in
     for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
                   "assign", "graph-build", "rankfeat"):
         assert cli_main([stage, *run]) == 0
