@@ -358,7 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         print(summary)
         return 0
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

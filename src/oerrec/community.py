@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, RBF_GROUPS, RPF_GROUPS, UnifiedVectors, combine_groups
+from .features import FeatureMatrix, RBF_GROUPS, RPF_GROUPS, combine_groups
 from .kmedoids import kmedoids
 from .maxent import MaxEntModel, predict_batch, train_maxent
 from .util import read_tsv, rng_for, write_tsv
@@ -35,15 +35,16 @@ class CommunityModel:
 
 
 def cluster_readers(
-    vectors: UnifiedVectors,
+    readers: tuple[str, ...],
+    X: np.ndarray,
     k: int,
     metric: str = "euclidean",
     seed: int = 0,
 ) -> CommunityModel:
-    """K-medoids over the unified vectors; rows arrive in sorted-reader order,
-    so the result is invariant to how the corpus streams were ordered."""
-    result = kmedoids(vectors.X, k, rng_for(seed, "kmedoids"), metric)
-    readers = vectors.reader_ids
+    """K-medoids over the reader vectors X, row i being readers[i]; rows
+    arrive in sorted-reader order, so the result is invariant to how the
+    corpus streams were ordered."""
+    result = kmedoids(X, k, rng_for(seed, "kmedoids"), metric)
     return CommunityModel(
         k=k,
         medoid_reader_ids=tuple(readers[m] for m in result.medoid_indices),
@@ -82,11 +83,13 @@ def cluster_profiles(
 ) -> CommunityModel:
     """The one clustering of profile-bearing readers: their `groups`
     vectors, each group scaled by its weight (unit when absent)."""
-    with_rpf = [r for r in fm.reader_ids if fm.has_rpf[r]]
-    if len(with_rpf) < k:
-        raise ValueError(f"only {len(with_rpf)} profile-bearing readers for k={k}")
-    vectors = combine_groups(fm.subset_readers(with_rpf), groups, weights or None)
-    return cluster_readers(vectors, k, metric, seed)
+    rows = [i for i, r in enumerate(fm.reader_ids) if fm.has_rpf[r]]
+    if len(rows) < k:
+        raise ValueError(f"only {len(rows)} profile-bearing readers for k={k}")
+    # combine_groups normalizes each row by its own norm, so its rows for
+    # these readers equal, bit for bit, the vectors combined over them alone
+    X = combine_groups(fm, groups, weights or None)[rows]
+    return cluster_readers(tuple(fm.reader_ids[i] for i in rows), X, k, metric, seed)
 
 
 def fit_behavior_classifier(
@@ -95,11 +98,11 @@ def fit_behavior_classifier(
 ) -> MaxEntModel:
     """MaxEnt classifier from the labelled readers' `groups` vectors to
     their communities, rows in sorted-reader order."""
-    behavior = combine_groups(fm, groups)
-    rows = [i for i, r in enumerate(behavior.reader_ids) if r in labels]
-    y = np.array([labels[behavior.reader_ids[i]] for i in rows])
-    model = train_maxent(behavior.X[rows], y, lam)
-    model.feature_space = {"groups": list(groups), "dim": behavior.X.shape[1]}
+    X = combine_groups(fm, groups)
+    rows = [i for i, r in enumerate(fm.reader_ids) if r in labels]
+    y = np.array([labels[fm.reader_ids[i]] for i in rows])
+    model = train_maxent(X[rows], y, lam)
+    model.feature_space = {"groups": list(groups), "dim": X.shape[1]}
     return model
 
 
@@ -108,14 +111,14 @@ def predict_behavior(
     groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
 ) -> dict[str, int]:
     """Predicted community of every reader of fm that `labels` lacks."""
-    behavior = combine_groups(fm, groups)
-    rest = [i for i, r in enumerate(behavior.reader_ids) if r not in labels]
-    silent = [behavior.reader_ids[i] for i in rest if not behavior.X[i].any()]
+    X = combine_groups(fm, groups)
+    rest = [i for i, r in enumerate(fm.reader_ids) if r not in labels]
+    silent = [fm.reader_ids[i] for i in rest if not X[i].any()]
     if silent:
         log.info("readers %s have no behavior signal; prediction falls back "
                  "to intercept-only scores", silent)
-    predicted, _ = predict_batch(model, behavior.X[rest])
-    return {behavior.reader_ids[i]: int(c) for i, c in zip(rest, predicted)}
+    predicted, _ = predict_batch(model, X[rest])
+    return {fm.reader_ids[i]: int(c) for i, c in zip(rest, predicted)}
 
 
 # -- communities.tsv ------------------------------------------------------

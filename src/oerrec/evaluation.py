@@ -17,7 +17,7 @@ from .features import FeatureMatrix, RPF_GROUPS
 from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
 from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, CommunityRankerSet,
-                     community_jobs, train_models)
+                     community_jobs, require_assignment, train_models)
 from .util import dump_json, fork_seed, rng_for
 
 log = logging.getLogger(__name__)
@@ -121,6 +121,7 @@ def make_folds(
         raise ValueError(f"folds must be >= 2, got {folds}")
     if folds > len(queries):
         raise ValueError(f"folds={folds} exceeds query count {len(queries)}")
+    require_assignment(queries, assignment)
     rng = rng_for(seed, "cv-folds")
     by_community: dict[int, list[str]] = {}
     for q in sorted(queries, key=lambda q: q.query_id):

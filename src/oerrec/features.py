@@ -113,9 +113,6 @@ class FeatureMatrix:
     has_rpf: dict[str, bool]
     settings: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._row = {r: i for i, r in enumerate(self.reader_ids)}
-
     def group(self, name: str) -> FeatureGroup:
         if name not in self.groups:
             raise KeyError(f"unknown feature group {name!r}; have {sorted(self.groups)}")
@@ -127,16 +124,6 @@ class FeatureMatrix:
         rows, cols = np.nonzero(np.triu(self.group("ReplyRelation").matrix, 1))
         return {frozenset((self.reader_ids[i], self.reader_ids[j]))
                 for i, j in zip(rows, cols)}
-
-    def subset_readers(self, reader_ids) -> "FeatureMatrix":
-        keep = sorted(reader_ids)
-        idx = [self._row[r] for r in keep]
-        return FeatureMatrix(
-            tuple(keep),
-            {n: FeatureGroup(g.labels, g.matrix[idx]) for n, g in self.groups.items()},
-            {r: self.has_rpf[r] for r in keep},
-            dict(self.settings),
-        )
 
 
 def extract_rpf(corpus: Corpus) -> dict[str, FeatureGroup]:
@@ -238,22 +225,16 @@ def extract_features(corpus: Corpus, k_loc: int = 10, seed: int = 0) -> FeatureM
     )
 
 
-@dataclass
-class UnifiedVectors:
-    """Concatenation of L2-normalized, weighted groups; one row per reader."""
-
-    reader_ids: tuple[str, ...]
-    X: np.ndarray
-
-
 def combine_groups(
     fm: FeatureMatrix,
     included_groups: tuple[str, ...],
     weights: dict[str, float] | None = None,
-) -> UnifiedVectors:
-    """L2-normalize each group row-wise (zero rows stay zero), scale by the
-    group weight, and concatenate in GROUP_ORDER. Readers with has_rpf
-    False keep zero RPF cells.
+) -> np.ndarray:
+    """The unified reader vectors, one row per reader in `fm.reader_ids`
+    order: L2-normalize each group row-wise (zero rows stay zero), scale by
+    the group weight, and concatenate in GROUP_ORDER. Readers with has_rpf
+    False keep zero RPF cells. Each row is computed from that reader's cells
+    alone, so a row subset of the result is the result over those readers.
     """
     if not included_groups:
         raise ValueError("included_groups must be nonempty")
@@ -275,8 +256,7 @@ def combine_groups(
         norms = np.linalg.norm(M, axis=1, keepdims=True)
         normalized = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
         blocks.append(normalized * weights.get(name, 1.0))
-    X = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(fm.reader_ids), 0))
-    return UnifiedVectors(fm.reader_ids, X)
+    return np.concatenate(blocks, axis=1)
 
 
 # -- features.json --------------------------------------------------------

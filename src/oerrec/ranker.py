@@ -286,6 +286,13 @@ class CommunityRankerSet:
         return self.global_model
 
 
+def require_assignment(queries: list[QueryFeatures], assignment: dict[str, int]) -> None:
+    """Fail unless every judged reader has a community."""
+    missing = sorted({q.reader_id for q in queries} - set(assignment))
+    if missing:
+        raise ValueError(f"readers without community assignment: {missing}")
+
+
 def community_jobs(
     queries: list[QueryFeatures],
     assignment: dict[str, int],
@@ -299,9 +306,7 @@ def community_jobs(
     judged queries and a positive gain among them."""
     if not queries:
         raise ValueError("zero judgments overall")
-    missing = sorted({q.reader_id for q in queries} - set(assignment))
-    if missing:
-        raise ValueError(f"readers without community assignment: {missing}")
+    require_assignment(queries, assignment)
     jobs = [TrainJob(queries, feature_names, metric_spec, restarts, seed, "global")]
     for c in sorted(set(assignment.values())):
         subset = [q for q in queries if assignment[q.reader_id] == c]

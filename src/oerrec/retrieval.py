@@ -4,6 +4,7 @@ and BM25, both over the shared tokenizer."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -12,8 +13,8 @@ from typing import Iterable
 class CollectionStats:
     """Corpus-level term statistics over all OER bodies."""
 
-    term_counts: dict[str, int] = field(default_factory=dict)  # collection frequency
-    doc_freq: dict[str, int] = field(default_factory=dict)
+    term_counts: Counter[str] = field(default_factory=Counter)  # collection frequency
+    doc_freq: Counter[str] = field(default_factory=Counter)
     n_docs: int = 0
     total_terms: int = 0
 
@@ -32,10 +33,8 @@ class CollectionStats:
         for tokens in docs:
             stats.n_docs += 1
             stats.total_terms += len(tokens)
-            for t in tokens:
-                stats.term_counts[t] = stats.term_counts.get(t, 0) + 1
-            for t in set(tokens):
-                stats.doc_freq[t] = stats.doc_freq.get(t, 0) + 1
+            stats.term_counts.update(tokens)
+            stats.doc_freq.update(set(tokens))
         return stats
 
 
@@ -55,9 +54,7 @@ def lm_score(
         raise ValueError(f"mu must be >= 0, got {mu}")
     if not query_terms:
         return 0.0
-    tf: dict[str, int] = {}
-    for t in doc_terms:
-        tf[t] = tf.get(t, 0) + 1
+    tf = Counter(doc_terms)
     dlen = len(doc_terms)
 
     score = 0.0
@@ -65,7 +62,7 @@ def lm_score(
         p_c = stats.p_collection(term)
         if p_c == 0.0:
             continue
-        numerator = tf.get(term, 0) + mu * p_c
+        numerator = tf[term] + mu * p_c
         denominator = dlen + mu
         if numerator <= 0.0 or denominator <= 0.0:
             return float("-inf")
@@ -86,15 +83,13 @@ def bm25_score(
         raise ValueError(f"k1 must be > 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must be in [0,1], got {b}")
-    tf: dict[str, int] = {}
-    for t in doc_terms:
-        tf[t] = tf.get(t, 0) + 1
+    tf = Counter(doc_terms)
     dlen = len(doc_terms)
     avgdl = stats.avg_doc_len
 
     score = 0.0
     for term in query_terms:
-        f = tf.get(term, 0)
+        f = tf[term]
         if f == 0:
             continue
         df = stats.doc_freq.get(term, 0)

@@ -12,8 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from oerrec import ranker
+from oerrec import evaluation, ranker
 from oerrec.cli import build_parser, main
+from oerrec.rankfeatures import read_rankfeat
 from oerrec.util import load_json
 
 CORPUS_FILES = ("readers.jsonl", "events.jsonl", "oers.jsonl", "judgments.tsv")
@@ -260,6 +261,45 @@ class TestFailureKeepsEarlierRun:
         err = capsys.readouterr().err
         assert err.startswith("error: group weight for 'RPF-T'")
         assert "['RPF-C', 'RPF-TB']" in err
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["recommend", "--paper", "nope", "--quote", "topic00"], {},
+         "unknown paper 'nope'"),
+        (["cluster"], {"cluster_groups": ["Nope"]}, "unknown feature groups ['Nope']"),
+    ], ids=["recommend-unknown-paper", "cluster-unknown-group"])
+    def test_key_error_prints_its_message(self, run, tmp_path, capsys, argv, config,
+                                          message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        before = snapshot(run)
+        assert run_cli([*argv, "--config", cfg, "--in", run, "--out", run,
+                        "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert snapshot(run) == before
+
+    @pytest.mark.parametrize("command", ["train-ranker", "evaluate"])
+    def test_judged_reader_without_community_is_named(self, run, monkeypatch, capsys,
+                                                      command):
+        # as after `cluster` and before `assign` on a corpus whose judged
+        # readers lack profiles: neither command starts a training
+        _, queries = read_rankfeat(run / "rankfeat.json")
+        reader = min(q.reader_id for q in queries)
+        lines = (run / "communities.tsv").read_text().splitlines(keepends=True)
+        (run / "communities.tsv").write_text(
+            "".join(line for line in lines if not line.startswith(f"{reader}\t")))
+
+        def no_training(jobs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(ranker, "train_models", no_training)
+        monkeypatch.setattr(evaluation, "train_models", no_training)
+        before = snapshot(run)
+        assert run_cli([command, "--in", run, "--out", run, "--seed", "3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: readers without community assignment: ['{reader}']\n")
         assert snapshot(run) == before
 
     def test_inconsistent_corpus_keeps_validation_only(self, tmp_path, capsys):
@@ -540,6 +580,26 @@ class TestReproducibility:
         assert digests == PINNED_SEED7_ARTIFACTS
 
 
+    def test_profileless_readers_keep_their_pinned_bytes(self, tmp_path, monkeypatch, capsys):
+        """With every 4th `readers.jsonl` line dropped, `cluster` clusters a
+        subset of the readers and `assign` predicts the rest; the clustering
+        and classifier artifacts keep the sha256 they had when the subset was
+        a copied `FeatureMatrix`."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["simulate", "--out", "corpus", "--seed", "7", "--readers", "60"]) == 0
+        profiles = tmp_path / "corpus" / "readers.jsonl"
+        lines = profiles.read_text().splitlines(keepends=True)
+        profiles.write_text("".join(l for i, l in enumerate(lines) if i % 4 != 3))
+        for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
+                      "assign"):
+            assert run_cli([stage, "--in", "corpus", "--out", "run", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "assign: 60 readers (15 predicted)" in out
+        digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                   for name in PINNED_PROFILELESS_ARTIFACTS}
+        assert digests == PINNED_PROFILELESS_ARTIFACTS
+
+
 # sha256 of each artifact of `ingest`..`rankfeat` at master seed 7 on the
 # `simulate --seed 7 --readers 60` corpus, `--in corpus --out run`.
 PINNED_SEED7_ARTIFACTS = {
@@ -558,6 +618,16 @@ PINNED_SEED7_ARTIFACTS = {
     "run_config.json": "8e0ad5a72ca5d368a0dbed068d03d4d79f340b6b9435bc058a64da42eadcef8d",
     "validation.json": "6aa7a4570392d3025ccceb95f28743bcbc79c9a3df87b30b3f333f062218e508",
     "vertices.tsv": "f0314b19aeea35089497bd9b884db733583b36326d5198de36e0d60707f38755",
+}
+
+
+# sha256 of the clustering and classifier artifacts at master seed 7 on the
+# `simulate --seed 7 --readers 60` corpus with every 4th profile line dropped.
+PINNED_PROFILELESS_ARTIFACTS = {
+    "features.json": "bfcf9999fd6c1dae3ddee30fe21f720aca273ffb39ab36299c35cbd664d7ceb4",
+    "cluster_eval.json": "6fd6e31eb253b2e1a85cbeae253f7fe2dfaf3ccd155d056b6457cf13939a2d0e",
+    "communities.tsv": "909c30cd6949b0cac219e4d045e162a53193e6e36be96771b95c9e1b07dcc124",
+    "maxent.json": "a86b58b594844c7a24c04cd705a632836435d0ac0db864a6f97d43ac864f497b",
 }
 
 

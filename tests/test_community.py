@@ -17,8 +17,8 @@ from oerrec.community import (
 )
 from oerrec.cli import main as cli_main
 from oerrec.corpus import Corpus, ReaderProfile, parse_corpus, write_corpus
-from oerrec.features import (RPF_GROUPS, combine_groups, extract_features,
-                             features_from_dict)
+from oerrec.features import (RPF_GROUPS, FeatureGroup, FeatureMatrix, combine_groups,
+                             extract_features, features_from_dict)
 from oerrec.simgen import SimConfig, generate
 from oerrec.util import fork_seed, load_json
 from oracles import oracle_kmedoids_best, oracle_pairwise_eval
@@ -28,22 +28,23 @@ class TestClusterReaders:
     @pytest.fixture
     def toy_vectors(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
-        return combine_groups(fm, RPF_GROUPS)
+        return fm.reader_ids, combine_groups(fm, RPF_GROUPS)
 
     def test_k1_medoid_is_exhaustive_minimum(self, toy_vectors):
-        model = cluster_readers(toy_vectors, 1, seed=0)
-        best_cost, best_set = oracle_kmedoids_best(toy_vectors.X.tolist(), 1)
+        model = cluster_readers(*toy_vectors, 1, seed=0)
+        readers, X = toy_vectors
+        best_cost, best_set = oracle_kmedoids_best(X.tolist(), 1)
         assert model.cost == pytest.approx(best_cost, abs=1e-12)
-        assert model.medoid_reader_ids == (toy_vectors.reader_ids[best_set[0]],)
+        assert model.medoid_reader_ids == (readers[best_set[0]],)
         assert set(model.assignment.values()) == {0}
 
     def test_k_equals_n(self, toy_vectors):
-        model = cluster_readers(toy_vectors, 3, seed=0)
+        model = cluster_readers(*toy_vectors, 3, seed=0)
         assert model.cost == pytest.approx(0.0, abs=1e-12)
         assert sorted(model.assignment.values()) == [0, 1, 2]
 
     def test_medoids_belong_to_their_clusters(self, toy_vectors):
-        model = cluster_readers(toy_vectors, 2, seed=1)
+        model = cluster_readers(*toy_vectors, 2, seed=1)
         for c, reader in enumerate(model.medoid_reader_ids):
             assert model.assignment[reader] == c
 
@@ -54,15 +55,16 @@ class TestClusterReaders:
                 toy_streams["judgments"],
             )
             fm = extract_features(corpus, k_loc=2, seed=4)
-            return cluster_readers(combine_groups(fm, RPF_GROUPS), 2, seed=9).assignment
+            return cluster_readers(fm.reader_ids, combine_groups(fm, RPF_GROUPS), 2,
+                                   seed=9).assignment
 
         shuffled = list(toy_streams["events"])
         random.Random(3).shuffle(shuffled)
         assert assignment(shuffled) == assignment(toy_streams["events"])
 
     def test_deterministic_for_seed(self, toy_vectors):
-        a = cluster_readers(toy_vectors, 2, seed=5)
-        b = cluster_readers(toy_vectors, 2, seed=5)
+        a = cluster_readers(*toy_vectors, 2, seed=5)
+        b = cluster_readers(*toy_vectors, 2, seed=5)
         assert a.assignment == b.assignment
         assert a.medoid_reader_ids == b.medoid_reader_ids
 
@@ -165,8 +167,14 @@ class TestTwoStep:
     def test_clustered_part_matches_plain_clustering(self, sim):
         _, stripped, fm, assignment, _, _ = sim
         with_rpf = sorted(r for r, p in stripped.readers.items() if p.has_rpf)
+        # the profile-bearing readers' features alone, built by hand
+        rows = [fm.reader_ids.index(r) for r in with_rpf]
+        alone = FeatureMatrix(
+            tuple(with_rpf),
+            {n: FeatureGroup(g.labels, g.matrix[rows]) for n, g in fm.groups.items()},
+            {r: True for r in with_rpf})
         direct = cluster_readers(
-            combine_groups(fm.subset_readers(with_rpf), RPF_GROUPS), 3,
+            alone.reader_ids, combine_groups(alone, RPF_GROUPS), 3,
             seed=fork_seed(TWO_STEP_SEED, "cluster"),
         )
         assert {r: assignment[r] for r in with_rpf} == direct.assignment

@@ -246,14 +246,6 @@ class TestExtractFeatures:
             assert again.group(name).labels == fm.group(name).labels
             assert np.array_equal(again.group(name).matrix, fm.group(name).matrix)
 
-    def test_subset_readers(self, fm):
-        sub = fm.subset_readers(["r3", "r1"])
-        assert sub.reader_ids == ("r1", "r3")
-        for name in GROUP_ORDER:
-            assert np.array_equal(
-                sub.group(name).matrix, fm.group(name).matrix[[0, 2]]
-            )
-
 
 class TestReplyRelation:
     @pytest.mark.parametrize("seed", range(5))
@@ -285,26 +277,26 @@ def two_group_matrix():
 class TestCombineGroups:
     def test_single_group_unit_weight_is_l2_normalized(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
-        uv = combine_groups(fm, ("QuoteText",))
-        X = fm.group("QuoteText").matrix
+        X = combine_groups(fm, ("QuoteText",))
+        M = fm.group("QuoteText").matrix
         for i in range(3):
-            norm = np.linalg.norm(X[i])
-            expected = X[i] / norm if norm else X[i]
-            assert np.allclose(uv.X[i], expected)
+            norm = np.linalg.norm(M[i])
+            expected = M[i] / norm if norm else M[i]
+            assert np.allclose(X[i], expected)
 
     def test_weighted_two_groups_hand_case(self):
         # Raw values (3,) and (4,) L2-normalize to 1 each; weights (1, 2)
         # then scale the concatenated vector to (1, 2).
-        uv = combine_groups(
+        X = combine_groups(
             two_group_matrix(), ("RPF-C", "RPF-TB"),
             weights={"RPF-C": 1.0, "RPF-TB": 2.0},
         )
-        assert np.allclose(uv.X, [[1.0, 2.0]])
+        assert np.allclose(X, [[1.0, 2.0]])
 
     def test_zero_rows_stay_zero(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
-        uv = combine_groups(fm, ("QuestionText",))
-        assert not uv.X[0].any()  # r1 asked no questions
+        X = combine_groups(fm, ("QuestionText",))
+        assert not X[0].any()  # r1 asked no questions
 
     def test_identical_readers_identical_vectors(self, toy_streams):
         twin = {"reader": "r9", "courses": ["cs101"], "skills": {"prog": 1}}
@@ -314,21 +306,42 @@ class TestCombineGroups:
             toy_streams["oers"], toy_streams["judgments"],
         )
         fm = extract_features(corpus, k_loc=2)
-        uv = combine_groups(fm, RPF_GROUPS)
+        X = combine_groups(fm, RPF_GROUPS)
         i, j = fm.reader_ids.index("r2"), fm.reader_ids.index("r9")
-        assert np.array_equal(uv.X[i], uv.X[j])
+        assert np.array_equal(X[i], X[j])
 
     def test_missing_rpf_readers_keep_zero_rpf_cells(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
-        uv = combine_groups(fm, RPF_GROUPS)
+        X = combine_groups(fm, RPF_GROUPS)
         assert not fm.has_rpf["r3"]
-        assert not uv.X[fm.reader_ids.index("r3")].any()
+        assert not X[fm.reader_ids.index("r3")].any()
 
     def test_groups_concatenate_in_canonical_order(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)
-        uv = combine_groups(fm, ("QuoteText", "RPF-C"))
-        expected = [combine_groups(fm, (g,)).X for g in ("RPF-C", "QuoteText")]
-        assert np.array_equal(uv.X, np.concatenate(expected, axis=1))
+        X = combine_groups(fm, ("QuoteText", "RPF-C"))
+        expected = [combine_groups(fm, (g,)) for g in ("RPF-C", "QuoteText")]
+        assert np.array_equal(X, np.concatenate(expected, axis=1))
+
+    @pytest.mark.parametrize("groups, weights", [
+        (RPF_GROUPS, None),
+        (RPF_GROUPS, {"RPF-TB": 5.0}),
+        (RBF_GROUPS, {"QuoteText": 0.5, "ReplyRelation": 3.0}),
+        (GROUP_ORDER, None),
+    ])
+    def test_row_subset_equals_combining_the_subset(self, groups, weights):
+        # what cluster_profiles relies on when it slices the profile-bearing rows
+        fm = extract_features(generate(SimConfig(
+            n_readers=24, n_communities=3, events_per_reader=4.0,
+            queries_per_reader=1.0, seed=2)).corpus, k_loc=3, seed=0)
+        X = combine_groups(fm, groups, weights)
+        for rows in ([5], list(range(0, 24, 2)), [i for i in range(24) if i % 4 != 3]):
+            # those readers' features alone, built by hand
+            readers = tuple(fm.reader_ids[i] for i in rows)
+            alone = FeatureMatrix(
+                readers,
+                {n: FeatureGroup(g.labels, g.matrix[rows]) for n, g in fm.groups.items()},
+                {r: fm.has_rpf[r] for r in readers})
+            assert X[rows].tobytes() == combine_groups(alone, groups, weights).tobytes()
 
     def test_rejects_empty_or_unknown_groups(self, toy_corpus):
         fm = extract_features(toy_corpus, k_loc=2)

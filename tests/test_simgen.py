@@ -158,7 +158,8 @@ class TestSeparationAtAlphaOne:
     def test_profile_clustering_recovers_planted_labels(self):
         result = generate(self.CFG)
         fm = extract_features(result.corpus)
-        clustering = cluster_readers(combine_groups(fm, RPF_GROUPS), k=3, seed=0)
+        clustering = cluster_readers(fm.reader_ids, combine_groups(fm, RPF_GROUPS),
+                                     k=3, seed=0)
         truth = {
             frozenset((a, b))
             for a, b in itertools.combinations(sorted(result.latent), 2)
