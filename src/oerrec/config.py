@@ -81,23 +81,41 @@ class PipelineConfig:
         }
 
 
-_TUPLE_FIELDS = {"cluster_groups", "classifier_groups"}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# a field's annotation -> what a config value for it must be, and the test
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "tuple": ("a list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+}
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
     """Config file first, then flag overrides on top; a `sim` override is
-    merged key by key over the file's `sim`. Unknown keys fail."""
+    merged key by key over the file's `sim`. Unknown keys and values of
+    the wrong kind fail."""
     data: dict = {}
     if path is not None:
         data = load_json(Path(path))
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-    for key, value in (overrides or {}).items():
-        data[key] = {**data.get("sim", {}), **value} if key == "sim" else value
-    known = {f.name for f in fields(PipelineConfig) if f.init}
-    unknown = sorted(set(data) - known)
+    overrides = overrides or {}
+    types = {f.name: f.type for f in fields(PipelineConfig) if f.init}
+    unknown = sorted((set(data) | set(overrides)) - set(types))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    for key in _TUPLE_FIELDS & set(data):
-        data[key] = tuple(data[key])
-    return PipelineConfig(**data)
+    for key, value in [*data.items(), *overrides.items()]:
+        kind, ok = _KINDS[types[key]]
+        if not ok(value):
+            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    for key, value in overrides.items():
+        data[key] = {**data.get("sim", {}), **value} if key == "sim" else value
+    return PipelineConfig(**{key: tuple(value) if types[key] == "tuple" else value
+                             for key, value in data.items()})

@@ -117,9 +117,8 @@ def train_maxent(X: np.ndarray, labels, lam: float = 1.0) -> MaxEntModel:
                 break
             step *= 0.5
             if step < 1e-18:
-                W_new, b_new, f_new = W, b, f
                 break
-        if f_new <= f and grad_norm > GRAD_TOL and step < 1e-18:
+        if f_new < f:
             break  # no representable ascent step left
         W, b, f = W_new, b_new, f_new
         step = min(step * 1.5, 1e6)

@@ -142,8 +142,6 @@ class _Gen:
                 self.oer_topic[oer_id] = topic
         self.corpus = Corpus()
         self.events_of: dict[str, list[str]] = {r: [] for r in self.readers}
-        self.ts = 0
-        self.event_no = 0
 
     # -- draw helpers -----------------------------------------------------
 
@@ -184,11 +182,9 @@ class _Gen:
         return " ".join(words)
 
     def _add_event(self, **kwargs) -> str:
-        event_id = f"e{self.event_no:05d}"
-        self.event_no += 1
-        event = ReadingEvent(event_id=event_id, timestamp=self.ts, **kwargs)
-        self.ts += 1
-        self.corpus.events[event_id] = event
+        n = len(self.corpus.events)
+        event_id = f"e{n:05d}"
+        self.corpus.events[event_id] = ReadingEvent(event_id=event_id, timestamp=n, **kwargs)
         return event_id
 
     # -- stages -------------------------------------------------------------

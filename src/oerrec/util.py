@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -49,44 +50,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-class _Unsupported(Exception):
-    """A value _text leaves to json itself."""
-
-
-def _float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _scalar(v) -> str:
-    """json's spelling of a str, None, bool, int or float, in its order of
-    checks: bool before int, float subclasses through float.__repr__."""
-    if isinstance(v, str):
-        return _encode_str(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    raise _Unsupported
 
 
 def _text(obj, indent: str) -> str:
     """obj as `json.dumps(indent=1, sort_keys=True)` writes it at the
-    nesting level whose lines start with indent."""
+    nesting level whose lines start with indent. Raises TypeError on what
+    no artifact holds: NaN, an infinity, a non-string key or a value of
+    any other type."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -95,8 +65,8 @@ def _text(obj, indent: str) -> str:
         kinds = set(map(type, obj))
         if kinds == {float}:
             body = sep.join(map(float.__repr__, obj))
-            if "n" in body:  # nan or inf, which json spells NaN and Infinity
-                body = sep.join(map(_float, obj))
+            if "n" in body:  # nan or inf
+                raise TypeError
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
         elif kinds == {str}:
@@ -110,27 +80,42 @@ def _text(obj, indent: str) -> str:
         inner = indent + " "
         items = []
         for k, v in sorted(obj.items()):
-            if not isinstance(k, str):  # json's spelling, quoted
-                k = _scalar(k)
+            if not isinstance(k, str):
+                raise TypeError
             items.append(_encode_str(k) + ": " + _text(v, inner))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return _scalar(obj)
+    # json's order of checks: bool before int; subclasses as their base type
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    raise TypeError
 
 
 def dump_json(path: str | Path, obj: Any, meta: dict | None = None) -> None:
     """Serialize obj to JSON; meta (config hash, seed, stage) goes under "_meta".
 
     The text is exactly ``json.dumps(obj, indent=1, sort_keys=True) + "\n"``.
-    Any indent sends json to its pure-Python encoder, so str, int, float,
-    bool, None, lists, tuples and dicts are written here instead, with
-    json's C string encoder and one join per list of plain numbers or
-    strings. Anything else, and any error, is left to json itself.
+    Any indent sends json to its pure-Python encoder, so what artifacts
+    hold (dicts with string keys, lists, tuples, str, int, finite float,
+    bool and None) is written here instead, with json's C string encoder
+    and one join per list of plain numbers or strings. Anything else (NaN,
+    an infinity, a non-string key, a numpy scalar, a set) and any error
+    send the whole document to json itself.
     """
     if meta is not None:
         obj = {"_meta": meta, **obj}
     try:
         text = _text(obj, "")
-    except (_Unsupported, TypeError, RecursionError):
+    except (TypeError, RecursionError):
         text = json.dumps(obj, indent=1, sort_keys=True)
     atomic_write_text(path, text + "\n")
 

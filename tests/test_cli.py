@@ -166,6 +166,24 @@ class TestErrors:
             assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 1
             assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"restarts": "2"}, "config key 'restarts' must be an integer, got '2'"),
+        ({"cluster_groups": "RPF-C"},
+         "config key 'cluster_groups' must be a list of strings, got 'RPF-C'"),
+        ({"group_weights": [1]}, "config key 'group_weights' must be an object, got [1]"),
+        ({"sim": "x"}, "config key 'sim' must be an object, got 'x'"),
+        ({"k_loc": 2.5}, "config key 'k_loc' must be an integer, got 2.5"),
+        ({"seed": "7"}, "config key 'seed' must be an integer or null, got '7'"),
+        ({"restarts": True}, "config key 'restarts' must be an integer, got True"),
+    ])
+    def test_config_value_of_wrong_kind_rejected(self, tmp_path, capsys, extra, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, **extra}))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFailureKeepsEarlierRun:
     @pytest.fixture
@@ -598,6 +616,36 @@ class TestReproducibility:
         digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                    for name in PINNED_PROFILELESS_ARTIFACTS}
         assert digests == PINNED_PROFILELESS_ARTIFACTS
+
+    def test_no_artifact_reaches_the_json_fallback(self, tmp_path, monkeypatch, capsys):
+        """`util.dump_json` hands a document to `json.dumps(indent=1)` only
+        when it holds NaN, an infinity, a non-string key or a value of a
+        type other than the JSON ones; no stage's artifact does. The other
+        `json.dumps` callers (`stable_hash`, the corpus streams) pass no
+        indent."""
+        indented = []
+        dumps = json.dumps
+
+        def spy(obj, **kwargs):
+            if "indent" in kwargs:
+                indented.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        monkeypatch.chdir(tmp_path)
+        flags = ["--seed", "5", "--restarts", "1", "--folds", "2"]
+        assert run_cli(["simulate", "--out", "corpus", "--seed", "5", "--readers", "15"]) == 0
+        for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
+                      "assign", "graph-build", "rankfeat"):
+            assert run_cli([stage, "--in", "corpus", "--out", "run", "--seed", "5"]) == 0
+        assert run_cli(["train-ranker", "--in", "corpus", "--out", "run", "--seed", "5",
+                        "--restarts", "1"]) == 0
+        for mode in ("cv", "missing-rpf"):
+            assert run_cli(["evaluate", "--in", "corpus", "--out", "run", "--mode", mode,
+                            *flags]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "run" / "report_missing_rpf.json").exists()
+        assert indented == []
 
 
 # sha256 of each artifact of `ingest`..`rankfeat` at master seed 7 on the
