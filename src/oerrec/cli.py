@@ -11,6 +11,7 @@ tab-separated artifacts carry them in a comment line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -280,7 +281,10 @@ _STAGES = {
 
 # flag -> (the subcommands that take it, its add_argument keywords), in
 # --help order. A flag whose dest names a PipelineConfig field (or a
-# _SIM_KEYS key) overrides that setting.
+# _SIM_KEYS key) overrides that setting. main reuses one parser for every
+# call in a process, which is safe only while every default here (and
+# pipeline's set_defaults) is immutable: argparse puts defaults into each
+# call's new Namespace as they are, without copying them.
 _ALL = tuple(_STAGES)
 _SIM = ("simulate", "pipeline")
 # simulate reads no input, and pipeline reads the corpus its simulate wrote
@@ -328,6 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that main builds on its first call and reuses after: help
+    width is read when help is formatted, not when the parser is built."""
+    return build_parser()
+
+
 def _overrides(args: argparse.Namespace) -> dict:
     over = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
             if getattr(args, f.name, None) is not None}
@@ -339,20 +350,23 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # recommend only reads --in and --out; every other command creates --out
+    # before it runs, so --out exists even when the command then fails
+    writes = args.command != "recommend"
     try:
         over = _overrides(args)
         cfg = load_config(args.config, over)
         cfg.require_seed()
         cfg.overrides_echo = over
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        if writes:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         # snapshot before the command runs: pipeline repoints in_dir
         run_config = {"command": args.command, "config": cfg.to_dict()}
         summary = _STAGES[args.command](cfg, args)
         # the full effective config of the last successful command rides
-        # along, so a run is reconstructible from its artifacts alone; the
-        # read-only recommend leaves it as is
-        if args.command != "recommend":
+        # along, so a run is reconstructible from its artifacts alone
+        if writes:
             dump_json(Path(cfg.out_dir) / "run_config.json", run_config,
                       cfg.meta(args.command))
         print(summary)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from oerrec import evaluation, ranker
+from oerrec import cli, evaluation, ranker
 from oerrec.cli import build_parser, main
 from oerrec.rankfeatures import read_rankfeat
 from oerrec.util import load_json
@@ -76,6 +76,14 @@ class TestErrors:
             "--paper", "p00", "--quote", "topic00",
         ]) == 1
         assert "no model" in capsys.readouterr().err
+
+    def test_recommend_creates_no_directory(self, pipeline_dir, tmp_path, capsys):
+        assert run_cli([
+            "recommend", "--in", pipeline_dir, "--out", tmp_path / "nd" / "typo",
+            "--seed", "3", "--paper", "p01", "--quote", "x",
+        ]) == 1
+        assert "vertices.tsv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("top", ["0", "-2"])
     def test_recommend_top_below_one_rejected(self, pipeline_dir, capsys, top):
@@ -557,6 +565,79 @@ def test_cli_surface_is_pinned():
     for command, options in CLI_SURFACE.items():
         common = NO_IN if command in ("simulate", "pipeline") else COMMON_OPTIONS
         assert surface[command] == common + options, command
+
+
+class TestParserReuse:
+    """main parses every call of a process with the parser of its first call."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Stands in for every stage: records the flags it was called with."""
+        seen = []
+        for command in cli._STAGES:
+            monkeypatch.setitem(cli._STAGES, command,
+                                lambda cfg, args: seen.append(args) or "ok")
+        return seen
+
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        return [command, "--in", tmp_path, "--out", tmp_path, "--seed", "1", *extra]
+
+    def test_main_builds_the_parser_once(self, parsed, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for command in ("ingest", "evaluate", "recommend"):
+            extra = ("--paper", "p00", "--quote", "q") if command == "recommend" else ()
+            assert run_cli(self.argv(command, tmp_path, *extra)) == 0
+        assert len(parsed) == 3
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command, first, flags, defaults", [
+        ("evaluate", (), ("--mode", "missing-rpf"), {"mode": "cv"}),
+        ("recommend", ("--paper", "p00", "--quote", "q"),
+         ("--reader", "r003", "--top", "9"), {"reader": None, "top": 5}),
+    ])
+    def test_no_flag_reaches_the_next_call(self, parsed, tmp_path, capsys, command,
+                                           first, flags, defaults):
+        assert run_cli(self.argv(command, tmp_path, *first, *flags)) == 0
+        assert run_cli(self.argv(command, tmp_path, *first)) == 0
+        assert {k: getattr(parsed[0], k) for k in defaults} != defaults
+        assert {k: getattr(parsed[1], k) for k in defaults} == defaults
+
+    def test_usage_error_after_a_call_is_unchanged(self, parsed, tmp_path, capsys):
+        errors = []
+        cli._parser.cache_clear()
+        for _ in range(2):  # the first error comes from a new parser
+            with pytest.raises(SystemExit) as exc:
+                run_cli(self.argv("rankfeat", tmp_path, "--metapaths", "x"))
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+            assert run_cli(self.argv("rankfeat", tmp_path)) == 0
+            capsys.readouterr()
+        assert "unrecognized arguments: --metapaths x" in errors[0]
+        assert errors[1] == errors[0]
+
+    def test_help_is_that_of_a_new_parser(self, monkeypatch, capsys):
+        # built at one width, formatted at another: the width is read late
+        monkeypatch.setenv("COLUMNS", "50")
+        cli._parser.cache_clear()
+        cli._parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in [["--help"], *([command, "--help"] for command in cli._STAGES)]:
+            texts = []
+            for parse in (main, build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0].startswith("usage: oerrec")
+            assert texts[0] == texts[1], argv
 
 
 class TestReproducibility:
