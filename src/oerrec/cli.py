@@ -192,14 +192,13 @@ def stage_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     oers = read_streams(cfg.in_dir, "oers.jsonl").oers
     extractor = _extractor(cfg, oers)
-    try:
-        rset = ranker.read_rankerset(Path(cfg.out_dir))
-    except FileNotFoundError as exc:
-        raise RuntimeError(f"no model: {exc}") from exc
     community = None
     if args.reader is not None:
         community = _read_communities(cfg)[0].get(args.reader)
-    model = rset.resolve(community)
+    try:
+        model = ranker.read_served_model(Path(cfg.out_dir), community)
+    except FileNotFoundError as exc:
+        raise RuntimeError(f"no model: {exc}") from exc
 
     if extractor.feature_names != model.feature_names:
         raise ValueError(f"feature names {extractor.feature_names} do not match "

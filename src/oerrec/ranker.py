@@ -10,6 +10,15 @@ column for the coordinate is not all zero are re-ranked; the others keep
 their metric values. Inference orders candidates with the same
 `rank_order`.
 
+Training skips two kinds of evaluation that can only reject, so every
+model keeps the bits of evaluating every grid value of every coordinate on
+every turn. The grid value equal to the current weight is dropped: its row
+is the current scores, whose mean is the current metric and so never a
+strict gain. And a coordinate rejected with no step accepted since is not
+evaluated again: its batch would be the same bits and reject again. An
+accepted coordinate is evaluated on its next turn, as its grid moved with
+its weight.
+
 Every training seeds itself, so the trainings of one stage (the global and
 community models, and those of every CV fold) are independent jobs:
 `train_models` runs them in a pool of forked processes, one per usable CPU,
@@ -147,13 +156,22 @@ def coordinate_ascent_train(
         query_values = per_query(kernel, scores)
         current = float(query_values.mean(axis=-1))
         trace = [current]
+        # rejected_at[j] is len(trace) when j was last rejected. While no
+        # step has been accepted since, (w, scores, query_values) hold the
+        # bits that rejected j, and the same batch would reject it again.
+        rejected_at = [-1] * d
         for _ in range(MAX_SWEEPS):
             sweep_gain = 0.0
             for j in range(d):
+                if rejected_at[j] == len(trace):
+                    continue
                 base = w[j] if w[j] != 0.0 else 1.0
                 values = np.array(
                     [m * base for m in STEP_GRID]
                     + [-m * base for m in STEP_GRID] + [0.0])
+                # one value is w[j] itself; its row is `scores` and its mean
+                # `current`, which is never a strict gain
+                values = values[values != w[j]]
                 steps = values - w[j]
                 # every query's value at every candidate weight; only the
                 # movable rows are re-ranked, and the mean runs over all
@@ -175,6 +193,8 @@ def coordinate_ascent_train(
                     current = float(metrics[bi])
                     trace.append(current)
                     sweep_gain = max(sweep_gain, gain)
+                else:
+                    rejected_at[j] = len(trace)
             if sweep_gain <= SWEEP_TOL:
                 break
         if best is None or current > best[0]:
@@ -362,3 +382,13 @@ def read_rankerset(in_dir) -> CommunityRankerSet:
               for c, name in index["communities"].items()}
     return CommunityRankerSet(models, read_model(base / index["global"]),
                               index["threshold"])
+
+
+def read_served_model(in_dir, community: int | None) -> RankingModel:
+    """The model `read_rankerset(in_dir).resolve(community)` returns, read
+    alone: the index, then only the model file it names."""
+    base = Path(in_dir)
+    index = load_json(base / "rankerset.json")
+    names = index["communities"]
+    name = names.get(str(community)) if community is not None else None
+    return read_model(base / (name or index["global"]))

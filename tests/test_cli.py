@@ -479,6 +479,27 @@ class TestStages:
             ]) == 0
             assert capsys.readouterr().out.splitlines()[:-1] == rows
 
+    def test_recommend_reads_only_the_model_it_serves(self, pipeline_dir, tmp_path, capsys):
+        """Deleting the other communities' models changes no line of a
+        `recommend --reader` answer; deleting the served model fails with
+        `no model`."""
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        argv = ["recommend", "--in", run, "--out", run, "--seed", "3",
+                "--paper", "p00", "--quote", "topic00 topic01", "--reader", "r000"]
+        assert run_cli(argv) == 0
+        before = capsys.readouterr().out
+        served = run / f"model_c{before.split('model=')[1].split(',')[0]}.json"
+        others = [p for p in run.glob("model_c*.json") if p != served]
+        assert served.is_file() and others
+        for p in others:
+            p.unlink()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == before
+        served.unlink()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: no model: ")
+
     def test_rankfeat_reads_no_events(self, pipeline_dir, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir, run)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oerrec import ranker
 from oerrec.cli import main as cli_main
+from oerrec.metrics import RankingKernel
 from oerrec.rankfeatures import QueryFeatures
 from oerrec.ranker import (
     MAX_SWEEPS,
@@ -133,11 +134,12 @@ class TestCoordinateAscent:
         assert np.array_equal(with_zero.weights, without.weights)
 
 
-def reference_train(queries, d, metric_spec, restarts, seed):
-    """Coordinate ascent with every query re-ranked at every candidate weight:
-    candidates in list order, ordered by a two-key lexsort (descending
-    score, ascending oer_id), metrics written out in numpy. Returns
-    (weights, trace, metric_value)."""
+def reference_train(queries, d, metric_spec, restarts, seed, log=None):
+    """Coordinate ascent with every query re-ranked at every candidate weight
+    of every coordinate on every turn: candidates in list order, ordered by
+    a two-key lexsort (descending score, ascending oer_id), metrics written
+    out in numpy. Returns (weights, trace, metric_value); `log`, if given,
+    gets (restart, coordinate, accepted) for each evaluation."""
     kind, _, at = metric_spec.partition("@")
     rows = np.concatenate([q.X for q in queries])
     mins, span = rows.min(axis=0), rows.max(axis=0) - rows.min(axis=0)
@@ -198,6 +200,8 @@ def reference_train(queries, d, metric_spec, restarts, seed):
                 metrics = mean_metric(batch)
                 bi = int(np.argmax(metrics))
                 gain = float(metrics[bi]) - current
+                if log is not None:
+                    log.append((r, j, gain > 0.0))
                 if gain > 0.0:
                     w[j], scores, current = values[bi], batch[bi], float(metrics[bi])
                     trace.append(current)
@@ -257,11 +261,24 @@ CONSTANT_COLUMN_NEAR_TIE = [
 ]
 
 
+# Two queries (q0 has no positive gain, so it only sets the normalization)
+# on which f1 gains on two turns in a row: skipping a coordinate right after
+# its own accepted step, as if its grid had not moved with its weight, drops
+# the trace's last step under every spec but ndcg@1.
+SECOND_STEP_ON_ONE_COORDINATE = [
+    QueryFeatures("q0", "r0", ("oer0",), np.array([0]), np.zeros((1, 3))),
+    QueryFeatures("q1", "r0", ("oer1", "oer0", "oer2", "oer3"), np.array([0, 1, 0, 0]),
+                  np.array([[0.1, 0.0, 0.0], [0.1, 0.1, 0.0], [0.1, 0.7, 0.0],
+                            [0.1, 1.0, 0.0]])),
+]
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("spec", ["ndcg@1", "ndcg@3", "ndcg@all", "map@3", "mrr"])
     @settings(max_examples=60, deadline=None)
     @given(problem=training_problems(), seed=st.integers(0, 3), restarts=st.integers(1, 2))
     @example(problem=CONSTANT_COLUMN_NEAR_TIE, seed=0, restarts=1)
+    @example(problem=SECOND_STEP_ON_ONE_COORDINATE, seed=0, restarts=1)
     def test_training_matches_full_batch_reference(self, spec, problem, seed, restarts):
         d = problem[0].X.shape[1]
         model = coordinate_ascent_train(problem, tuple(f"f{j}" for j in range(d)), spec,
@@ -270,6 +287,59 @@ class TestBitIdentity:
         assert model.weights.tobytes() == weights.tobytes()
         assert model.trace == trace
         assert model.metric_value == value
+
+
+# Four queries over three features; f_j is zero in the first j queries, so
+# a batch's row count (4 - j queries re-ranked) names its coordinate.
+NESTED_COLUMNS = [
+    QueryFeatures("q0", "r0", ("oer1", "oer0", "oer2"), np.array([0, 2, 1]),
+                  np.array([[0.5, 0.0, 0.0], [0.1, 0.0, 0.0], [0.3, 0.0, 0.0]])),
+    QueryFeatures("q1", "r0", ("oer0", "oer4", "oer3", "oer2", "oer1"),
+                  np.array([2, 2, 1, 2, 1]),
+                  np.array([[0.1, 0.5, 0.0], [0.5, 1.0, 0.0], [1.0, 0.1, 0.0],
+                            [0.7, 0.2, 0.0], [0.3, 0.5, 0.0]])),
+    QueryFeatures("q2", "r0", ("oer2", "oer0", "oer4", "oer3", "oer1"),
+                  np.array([0, 0, 0, 1, 2]),
+                  np.array([[0.3, 1.0, 0.3], [1.0, 0.5, 0.7], [0.2, 0.5, 0.7],
+                            [1.0, 1.0, 1.0], [0.1, 0.7, 0.3]])),
+    QueryFeatures("q3", "r0", ("oer2", "oer1", "oer0"), np.array([1, 0, 0]),
+                  np.array([[1.0, 0.7, 0.1], [0.2, 0.5, 1.0], [1.0, 0.2, 0.5]])),
+]
+
+
+def test_training_skips_only_evaluations_that_can_only_reject(monkeypatch):
+    """No batch holds the step to the current weight, and a coordinate
+    rejected with no step accepted since is not evaluated again: the sweep
+    that ends a restart stops at the coordinate accepted last."""
+    batches = []
+    ranked_gains = RankingKernel.ranked_gains
+
+    def spy(self, scores, width=None):
+        batches.append(scores.shape)
+        return ranked_gains(self, scores, width)
+
+    monkeypatch.setattr(RankingKernel, "ranked_gains", spy)
+    model = coordinate_ascent_train(NESTED_COLUMNS, ("f0", "f1", "f2"), restarts=2, seed=0)
+    log = []
+    assert reference_train(NESTED_COLUMNS, 3, "ndcg@3", 2, 0, log)[1] == model.trace
+
+    evaluated = []  # per restart, the coordinate of each batch
+    for shape in batches:
+        if len(shape) == 2:  # a restart's first ranking
+            evaluated.append([])
+        else:
+            assert shape[0] == 2 * len(STEP_GRID)
+            evaluated[-1].append(len(NESTED_COLUMNS) - shape[1])
+    assert evaluated == [[0, 1, 2, 0, 1, 2, 0, 1], [0, 1, 2, 0]]
+    for r, coordinates in enumerate(evaluated):
+        last = [j for rr, j, accepted in log if rr == r and accepted][-1]
+        # a full sweep, then the one that ends the restart at `last`
+        assert coordinates[-last - 2:] == [2, *range(last + 1)]
+    # Evaluating every coordinate on every turn, as training did before it
+    # skipped, takes 15 batches of 19 rows: 3 coordinates in each of the
+    # 3 sweeps of restart 0 and the 2 of restart 1.
+    assert len(log) == 15
+    assert sum(map(len, evaluated)) == 12
 
 
 class TestRank:
@@ -529,3 +599,26 @@ def test_c9_models_keep_their_pinned_bits(tmp_path, capsys):
                       hashlib.sha256(np.asarray(m.trace, dtype=np.float64).tobytes()).hexdigest())
                for name, m in models.items()}
     assert digests == PINNED_C9
+
+
+# sha256 of `report.json` from `evaluate --mode cv` on the c9 configuration
+# (`--seed 3 --readers 24 --folds 4 --restarts 2`, `--in corpus --out run`),
+# taken before training skipped the evaluations that can only reject. It
+# holds every query's metrics under the models of each CV fold.
+PINNED_C9_REPORT = "3c91f5c2d6d5b0cc761dc4e3b94a68a3ed015b5cf3662343b9ab0c44430bee18"
+
+
+def test_c9_cv_report_keeps_its_pinned_bytes(tmp_path, monkeypatch, capsys):
+    """Paths are relative, so the `_meta` overrides are the same in any
+    directory."""
+    monkeypatch.chdir(tmp_path)
+    run = ["--in", "corpus", "--out", "run", "--seed", "3"]
+    assert cli_main(["simulate", "--out", "corpus", "--seed", "3", "--readers", "24"]) == 0
+    for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
+                  "assign", "graph-build", "rankfeat"):
+        assert cli_main([stage, *run]) == 0
+    assert cli_main(["evaluate", *run, "--mode", "cv", "--folds", "4",
+                     "--restarts", "2"]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_C9_REPORT
