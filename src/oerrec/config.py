@@ -95,12 +95,25 @@ _KINDS = {
     "tuple": ("a list of strings",
               lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
 }
+_KINDS["tuple[str, ...]"] = _KINDS["tuple"]  # SimConfig.preferred_types
+
+
+def _check(entries: dict, types: dict, prefix: str = "") -> None:
+    """Fail on a key of `entries` that `types` lacks, or on a value not of
+    its key's kind; keys are named after `prefix`."""
+    unknown = sorted(prefix + key for key in set(entries) - set(types))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    for key, value in entries.items():
+        kind, ok = _KINDS[types[key]]
+        if not ok(value):
+            raise ValueError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
     """Config file first, then flag overrides on top; a `sim` override is
     merged key by key over the file's `sim`. Unknown keys and values of
-    the wrong kind fail."""
+    the wrong kind fail, `sim` keys and `group_weights` values included."""
     data: dict = {}
     if path is not None:
         data = load_json(Path(path))
@@ -108,13 +121,12 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
             raise ValueError(f"config file {path} must hold a JSON object")
     overrides = overrides or {}
     types = {f.name: f.type for f in fields(PipelineConfig) if f.init}
-    unknown = sorted((set(data) | set(overrides)) - set(types))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    for key, value in [*data.items(), *overrides.items()]:
-        kind, ok = _KINDS[types[key]]
-        if not ok(value):
-            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    sim_types = {f.name: f.type for f in fields(SimConfig)}
+    for entries in (data, overrides):
+        _check(entries, types)
+        _check(entries.get("sim", {}), sim_types, "sim.")
+        weights = entries.get("group_weights", {})
+        _check(weights, dict.fromkeys(weights, "float"), "group_weights.")
     for key, value in overrides.items():
         data[key] = {**data.get("sim", {}), **value} if key == "sim" else value
     return PipelineConfig(**{key: tuple(value) if types[key] == "tuple" else value

@@ -168,13 +168,10 @@ def cross_validate_ranking(
                          f, assignment[q.reader_id], q.query_id)
         skipped += [q.query_id for q in test if not (q.gains > 0).any()]
         scored = [q for q in test if (q.gains > 0).any()]
-        # one padded call scores both systems on every scored test query
         kernel = RankingKernel([q.gains for q in scored], [q.candidates for q in scored])
-        scores = np.zeros((2,) + kernel.gains.shape)
-        for qi, q in enumerate(scored):
-            cols, n = kernel.columns[qi], len(q.candidates)
-            scores[0, qi, :n] = rset.resolve(assignment[q.reader_id]).score(q.X)[cols]
-            scores[1, qi, :n] = rset.global_model.score(q.X)[cols]
+        scores = np.stack([  # both systems on every scored test query, one padded call
+            kernel.layout([rset.resolve(assignment[q.reader_id]).score(q.X) for q in scored]),
+            kernel.layout([rset.global_model.score(q.X) for q in scored])])
         values = {m: v.tolist() for m, v in kernel(scores, METRIC_NAMES).items()}
         for si, system in enumerate(("communitized", "global")):
             for qi, q in enumerate(scored):

@@ -3,12 +3,13 @@ test for system comparisons.
 
 `RankingKernel` is the one implementation of the ranking metrics: scores
 shaped (..., Q, C) over Q padded lists of at most C candidates are ordered
-by `rank_order` and scored per query. Each row holds its candidates in
-ascending oer_id order (`id_order`), so a stable sort on descending score
-breaks ties by ascending oer_id. Training, cross-validation and inference
-all use it; the scalar functions are one-row calls into it. Positions are
-summed left to right up to column min(k, C), so padding, which sorts last
-with gain 0, leaves every value bit-identical to its one-row value.
+by `rank_order` and scored per query. `RankingKernel.layout` is the one
+candidate layout (ascending oer_id order, `id_order`, zero-padded), so a
+stable sort on descending score breaks ties by ascending oer_id. Gains,
+training features and CV scores all go through it, `ranker.rank` is its
+one-row case, and the scalar functions are one-row calls into the kernel.
+Positions are summed left to right up to column min(k, C), so padding,
+which sorts last with gain 0, leaves every value bit-identical.
 
 Grades are the linear gains 2 (Good), 1 (OK), 0 (Bad); NotSure judgments
 are removed before lists reach this module. Relevance for MAP/MRR is
@@ -66,29 +67,33 @@ class RankingKernel:
     """Padded graded lists scored in batches.
 
     gain_lists[q] holds query q's candidate gains and id_lists[q] their
-    oer_ids; row q lays them out in the order `columns[q]` (ascending
+    oer_ids; `layout` puts row q in the order `columns[q]` (ascending
     oer_id), so candidate `columns[q][c]` sits in column c. Without
     id_lists, rows keep list order and ties keep it too.
     """
 
     def __init__(self, gain_lists: Sequence[Sequence[int]],
                  id_lists: Sequence[Sequence[str]] | None = None):
-        Q = len(gain_lists)
-        C = max([len(g) for g in gain_lists] + [1])
+        lengths = np.array([len(g) for g in gain_lists], dtype=np.int64)
         self.columns = [list(range(len(g))) if id_lists is None else id_order(id_lists[qi])
                         for qi, g in enumerate(gain_lists)]
-        self.gains = np.zeros((Q, C))
-        self.pad_inf = np.full((Q, C), np.inf)
-        for qi, g in enumerate(gain_lists):
-            n = len(g)
-            self.gains[qi, :n] = np.asarray(g, dtype=np.float64)[self.columns[qi]]
-            self.pad_inf[qi, :n] = 0.0
-        self.ranks = np.arange(1.0, C + 1.0)
+        self.ranks = np.arange(1.0, max(lengths.max(initial=0), 1) + 1.0)
+        self.gains = self.layout(gain_lists)
+        self.pad_inf = np.where(self.ranks <= lengths[:, None], 0.0, np.inf)
         self.discounts = 1.0 / np.log2(self.ranks + 1.0)
         ideal = np.cumsum(-np.sort(-self.gains, axis=-1) * self.discounts, axis=-1)
         self.ideal_dcg = np.where(ideal > 0, ideal, np.nan)  # NaN: skipped query
         relevant = (self.gains >= RELEVANCE_THRESHOLD).sum(axis=-1)
         self.total_relevant = np.maximum(relevant, 1)  # nothing relevant: AP 0/1
+
+    def layout(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-query arrays in candidate order, shaped (n_q,) or (n_q, d),
+        as one zero-padded (Q, C, ...) array in column order; (0, C) for Q = 0."""
+        trailing = np.shape(rows[0])[1:] if len(rows) else ()
+        out = np.zeros((len(self.columns), self.ranks.size) + trailing)
+        for qi, row in enumerate(rows):
+            out[qi, :len(row)] = np.asarray(row, dtype=np.float64)[self.columns[qi]]
+        return out
 
     def rows(self, index: np.ndarray) -> "RankingKernel":
         """The kernel over rows `index` (integer indices) at the same width

@@ -1,14 +1,14 @@
 """Linear learning-to-rank by coordinate ascent on a list-wise metric
 (default nDCG@3), one model per community plus a global fallback.
 
-Training evaluates the mean metric over every query at once: scores live in
-a padded (queries, max_candidates) array laid out in ascending oer_id order,
-candidate weight values for one coordinate are batched along a leading
-axis, and `metrics.RankingKernel` ranks and scores the batch (descending
-score, ascending oer_id as the tie-break). Only the queries whose feature
-column for the coordinate is not all zero are re-ranked; the others keep
-their metric values. Inference orders candidates with the same
-`rank_order`.
+Training evaluates the mean metric over every query at once: features and
+scores are padded (queries, max_candidates) arrays in the one candidate
+layout, `RankingKernel.layout` (ascending oer_id order); candidate weight
+values for one coordinate are batched along a leading axis, and the kernel
+ranks and scores the batch (descending score, ascending oer_id as the
+tie-break). Only the queries whose feature column for the coordinate is
+not all zero are re-ranked; the others keep their metric values. `rank`,
+which inference uses, is the layout's one-row case.
 
 Training skips two kinds of evaluation that can only reject, so every
 model keeps the bits of evaluating every grid value of every coordinate on
@@ -132,9 +132,7 @@ def coordinate_ascent_train(
     norm = _fit_norm(queries)
     kernel = RankingKernel([q.gains for q in trainable], [q.candidates for q in trainable])
     d = len(feature_names)
-    X = np.zeros(kernel.gains.shape + (d,))  # normalized features, zero padding
-    for qi, q in enumerate(trainable):
-        X[qi, :len(q.candidates)] = norm.apply(q.X)[kernel.columns[qi]]
+    X = kernel.layout([norm.apply(q.X) for q in trainable])  # normalized, zero padding
     width = kernel.width(kind, k)
 
     def per_query(kern: RankingKernel, scores: np.ndarray) -> np.ndarray:
@@ -220,8 +218,8 @@ def rank(model: RankingModel, ids: Sequence[str], X: np.ndarray) -> list[tuple[s
 
 def rank_query(model: RankingModel, q: QueryFeatures) -> list[int]:
     """Gains of the query's candidates in the model's ranked order."""
-    cols = id_order(q.candidates)
-    return [int(q.gains[cols[i]]) for i in rank_order(model.score(q.X)[cols])]
+    gain = dict(zip(q.candidates, q.gains.tolist()))  # oer_ids are unique per query
+    return [int(gain[oer]) for oer, _ in rank(model, q.candidates, q.X)]
 
 
 # -- independent trainings in parallel ---------------------------------------

@@ -192,6 +192,40 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "featurize", "pipeline"])
+    @pytest.mark.parametrize("extra, message", [
+        ({"group_weights": {"RPF-C": "2"}},
+         "config key 'group_weights.RPF-C' must be a number, got '2'"),
+        ({"group_weights": {"RPF-T": 1.5, "RPF-C": True}},
+         "config key 'group_weights.RPF-C' must be a number, got True"),
+        ({"sim": {"readers": 5}}, "unknown config keys: ['sim.readers']"),
+        ({"sim": {"n_readers": "5"}}, "config key 'sim.n_readers' must be an integer, got '5'"),
+        ({"sim": {"alpha": None}}, "config key 'sim.alpha' must be a number, got None"),
+        ({"sim": {"preferred_types": "video"}},
+         "config key 'sim.preferred_types' must be a list of strings, got 'video'"),
+    ])
+    def test_nested_config_value_rejected(self, tmp_path, capsys, command, extra, message):
+        """`sim` keys are checked by name and kind against `SimConfig`, and
+        `group_weights` values as numbers, before `--out` is created."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, **extra}))
+        out = tmp_path / "out"
+        reads = ["--in", tmp_path] if command == "featurize" else []
+        assert run_cli([command, "--config", cfg, "--out", out, *reads]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_nested_config_values_of_the_right_kind_pass(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "group_weights": {"RPF-C": 2, "RPF-T": 0.5},
+                                   "sim": {"n_readers": 6, "alpha": 1, "seed": 4,
+                                           "preferred_types": ["wiki", "code"]}}))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        capsys.readouterr()
+        sim = json.loads((tmp_path / "out" / "sim_config.json").read_text())
+        assert (sim["n_readers"], sim["alpha"], sim["seed"]) == (6, 1, 4)
+        assert sim["preferred_types"] == ["wiki", "code"]
+
 
 class TestFailureKeepsEarlierRun:
     @pytest.fixture

@@ -105,9 +105,8 @@ class TestRankingKernel:
         # ids out of position order, so the oer_id tie-break is exercised
         id_lists = [[f"oer{7 * j % 11:02d}" for j in range(len(row))] for row in rows]
         kernel = RankingKernel(gain_lists, id_lists)
-        scores = np.full(kernel.gains.shape, 99.0)  # padding must sort last anyway
-        for qi, row in enumerate(rows):
-            scores[qi, :len(row)] = [row[c][1] for c in kernel.columns[qi]]
+        scores = kernel.layout([[s for _, s in row] for row in rows])
+        scores[kernel.pad_inf > 0] = 99.0  # padding must sort last anyway
         values = kernel(scores, KERNEL_SPECS)
         for qi, row in enumerate(rows):
             order = sorted(range(len(row)), key=lambda j: (-row[j][1], id_lists[qi][j]))
@@ -125,6 +124,65 @@ class TestRankingKernel:
                     continue
                 assert have == pytest.approx(want, abs=1e-12)
                 assert have == one_row[spec]  # batch width does not move a bit
+
+
+def per_row_layout(id_lists, rows, C, trailing=()):
+    """The per-row loop that `RankingKernel.layout` replaced: each row in
+    ascending id order, zero-padded to width C."""
+    out = np.zeros((len(rows), C) + trailing)
+    for qi, row in enumerate(rows):
+        cols = sorted(range(len(row)), key=id_lists[qi].__getitem__)
+        out[qi, :len(row)] = np.asarray(row, dtype=np.float64)[cols]
+    return out
+
+
+@st.composite
+def ragged_layouts(draw):
+    """Ragged rows (Q may be 0) of 1-D or 2-D values with distinct ids in
+    random order, and their gains."""
+    d = draw(st.sampled_from([None, 1, 3]))
+    lengths = draw(st.lists(st.integers(0, 8), max_size=5))
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+    id_lists, rows, gain_lists = [], [], []
+    for n in lengths:
+        ids = draw(st.permutations([f"oer{j:02d}" for j in range(n)]))
+        shape = (n,) if d is None else (n, d)
+        values = draw(st.lists(floats, min_size=n * (d or 1), max_size=n * (d or 1)))
+        id_lists.append(ids)
+        rows.append(np.array(values, dtype=np.float64).reshape(shape))
+        gain_lists.append(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return id_lists, rows, gain_lists, () if d is None else (d,)
+
+
+class TestLayout:
+    @given(ragged_layouts())
+    def test_equals_the_per_row_loop_bit_for_bit(self, case):
+        id_lists, rows, gain_lists, trailing = case
+        kernel = RankingKernel(gain_lists, id_lists)
+        C = max([len(r) for r in rows] + [1])
+        trailing = trailing if rows else ()  # no row to take a width from
+        want = per_row_layout(id_lists, rows, C, trailing)
+        have = kernel.layout(rows)
+        assert have.shape == want.shape == (len(rows), C) + trailing
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+        # the kernel lays its own gains and padding out the same way
+        gains = per_row_layout(id_lists, gain_lists, C)
+        assert kernel.gains.tobytes() == gains.tobytes()
+        pad = np.full((len(rows), C), np.inf)
+        for qi, row in enumerate(rows):
+            pad[qi, :len(row)] = 0.0
+        assert kernel.pad_inf.tobytes() == pad.tobytes()
+
+    def test_no_queries(self):
+        kernel = RankingKernel([], [])
+        assert kernel.layout([]).shape == (0, 1)
+        assert kernel(np.zeros((2, 0, 1)), ["ndcg@3"])["ndcg@3"].shape == (2, 0)
+
+    def test_rows_go_to_ascending_id_columns(self):
+        kernel = RankingKernel([[0, 1, 2], [2]], [["c", "a", "b"], ["z"]])
+        assert kernel.layout([[10.0, 20.0, 30.0], [5.0]]).tolist() == [
+            [20.0, 30.0, 10.0], [5.0, 0.0, 0.0]]
+        assert kernel.gains.tolist() == [[1.0, 2.0, 0.0], [2.0, 0.0, 0.0]]
 
 
 class TestSignTest:

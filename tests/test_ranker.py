@@ -385,6 +385,26 @@ class TestRank:
         order = oracle_rank_order(list(q.candidates), list(scores))
         assert ranked_gains == [int(q.gains[i]) for i in order]
 
+    @pytest.mark.parametrize("seed", [2, 5, 9])
+    def test_cv_layout_ranks_as_rank_query(self, seed):
+        """The gains cross-validation ranks, through `RankingKernel.layout`,
+        are `rank_query`'s for every query: ragged lists, ids out of
+        position order, and exactly tied candidates among them."""
+        g = np.random.default_rng(seed)
+        queries = []
+        for q in random_problem(seed, n_queries=10, n_candidates=6, d=3):
+            n = int(g.integers(1, 7))
+            X = q.X[:n].copy()
+            if n > 2:
+                X[2] = X[0]  # a tie, whatever the weights
+            ids = tuple(f"oer{j:02d}" for j in g.permutation(n))
+            queries.append(QueryFeatures(q.query_id, q.reader_id, ids, q.gains[:n], X))
+        model = coordinate_ascent_train(queries, ("f0", "f1", "f2"), restarts=2, seed=seed)
+        kernel = RankingKernel([q.gains for q in queries], [q.candidates for q in queries])
+        ranked = kernel.ranked_gains(kernel.layout([model.score(q.X) for q in queries]))
+        for qi, q in enumerate(queries):
+            assert ranked[qi, :len(q.candidates)].tolist() == rank_query(model, q)
+
 
 class TestTrainCommunitized:
     def queries_for(self, readers, seed=0, per_reader=4):
