@@ -4,8 +4,8 @@ Every stage is a subcommand that reads its declared inputs, writes its
 declared outputs under --out, and prints a one-line summary. One master
 seed governs the whole pipeline; each stage forks it by stage name, so a
 rerun with the same config and seed reproduces every artifact byte for
-byte. JSON artifacts embed the config hash and seed under "_meta";
-tab-separated artifacts carry them in a comment line.
+byte. Every artifact but the corpus streams carries `cfg.meta(stage)` (config
+hash, seed, stage), which `util` writes as "_meta" or as a TSV comment line.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .corpus import read_corpus, read_streams, validate_corpus, write_corpus
 from .rankfeatures import (RankFeatureExtractor, build_query_features, read_rankfeat,
                            write_rankfeat)
 from .util import dump_json, fork_seed, load_json
-
-
-def _comment(cfg: PipelineConfig, stage: str) -> str:
-    return f"config_hash={cfg.config_hash()} seed={cfg.require_seed()} stage={stage}"
 
 
 def _stage_seed(cfg: PipelineConfig, stage: str) -> int:
@@ -68,7 +64,7 @@ def stage_simulate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     sim = cfg.sim_config()
     result = simgen.generate(sim)
-    simgen.write_simulation(sim, result, out, _comment(cfg, "simulate"))
+    simgen.write_simulation(sim, result, out, cfg.meta("simulate"))
     return (f"simulate: {len(result.corpus.readers)} readers, "
             f"{len(result.corpus.events)} events, {len(result.corpus.oers)} oers, "
             f"{len(result.corpus.queries)} queries -> {out}")
@@ -109,7 +105,7 @@ def stage_cluster(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     community_mod.write_communities(
         out / "communities.tsv", model.assignment,
-        {r: "clustered" for r in model.assignment}, _comment(cfg, "cluster"))
+        {r: "clustered" for r in model.assignment}, cfg.meta("cluster"))
     dump_json(out / "cluster_eval.json", {
         "k": model.k, "metric": model.metric, "cost": model.cost,
         "medoids": list(model.medoid_reader_ids),
@@ -138,7 +134,7 @@ def stage_assign(cfg: PipelineConfig, args: argparse.Namespace) -> str:
                                                cfg.classifier_groups)
     community_mod.write_communities(out / "communities.tsv", {**clustered, **predicted},
                                     {r: "predicted" for r in predicted},
-                                    _comment(cfg, "assign"))
+                                    cfg.meta("assign"))
     return (f"assign: {len(clustered) + len(predicted)} readers "
             f"({len(predicted)} predicted)")
 
@@ -154,14 +150,12 @@ def stage_graph_build(cfg: PipelineConfig, args: argparse.Namespace) -> str:
         paths = hetgraph.default_metapaths()
     counts = {t: len(graph.vertices(t)) for t in ("paper", "topic", "oer")}
     out = Path(cfg.out_dir)
+    meta = cfg.meta("graph-build")
     if in_dir.resolve() != out.resolve():
-        hetgraph.write_graph(graph, out / "vertices.tsv", out / "edges.tsv",
-                             _comment(cfg, "graph-build"))
-    hetgraph.write_metapaths(paths, out / "metapaths.json",
-                             cfg.meta("graph-build"))
-    dump_json(out / "graph_stats.json", {"vertices": counts,
-                                         "metapaths": len(paths)},
-              cfg.meta("graph-build"))
+        hetgraph.write_graph(graph, out / "vertices.tsv", out / "edges.tsv", meta)
+    hetgraph.write_metapaths(paths, out / "metapaths.json", meta)
+    dump_json(out / "graph_stats.json", {"vertices": counts, "metapaths": len(paths)},
+              meta)
     return f"graph-build: vertices {counts}, {len(paths)} metapaths"
 
 

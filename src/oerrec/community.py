@@ -124,10 +124,10 @@ def predict_behavior(
 # -- communities.tsv ------------------------------------------------------
 
 def write_communities(path, assignment: dict[str, int], source: dict[str, str],
-                      comment: str | None = None) -> None:
+                      meta: dict | None = None) -> None:
     write_tsv(path, ("reader_id", "community", "source"),
               ((r, assignment[r], source.get(r, "clustered")) for r in sorted(assignment)),
-              comment)
+              meta)
 
 
 def read_communities(path, k: int) -> tuple[dict[str, int], dict[str, str]]:

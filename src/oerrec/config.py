@@ -3,6 +3,7 @@ mandatory seed that every stage forks deterministically by stage name."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -73,6 +74,8 @@ class PipelineConfig:
         return stable_hash(d)
 
     def meta(self, stage: str) -> dict:
+        """The provenance record of what `stage` writes: `util.dump_json`
+        puts it under "_meta", `util.write_tsv` renders it as a comment."""
         return {
             "config_hash": self.config_hash(),
             "seed": self.require_seed(),
@@ -89,7 +92,8 @@ def _is_int(v) -> bool:
 _KINDS = {
     "int": ("an integer", _is_int),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    # json reads NaN and Infinity, and argparse's float() reads "nan" and "inf"
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "dict": ("an object", lambda v: isinstance(v, dict)),
     "tuple": ("a list of strings",
@@ -113,7 +117,8 @@ def _check(entries: dict, types: dict, prefix: str = "") -> None:
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
     """Config file first, then flag overrides on top; a `sim` override is
     merged key by key over the file's `sim`. Unknown keys and values of
-    the wrong kind fail, `sim` keys and `group_weights` values included."""
+    the wrong kind fail, NaN and the infinities included, and so do `sim`
+    keys and the values of `group_weights` and `sim.oers_per_type`."""
     data: dict = {}
     if path is not None:
         data = load_json(Path(path))
@@ -124,9 +129,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
     sim_types = {f.name: f.type for f in fields(SimConfig)}
     for entries in (data, overrides):
         _check(entries, types)
-        _check(entries.get("sim", {}), sim_types, "sim.")
-        weights = entries.get("group_weights", {})
+        sim = entries.get("sim", {})
+        _check(sim, sim_types, "sim.")
+        weights, counts = entries.get("group_weights", {}), sim.get("oers_per_type", {})
         _check(weights, dict.fromkeys(weights, "float"), "group_weights.")
+        _check(counts, dict.fromkeys(counts, "int"), "sim.oers_per_type.")
     for key, value in overrides.items():
         data[key] = {**data.get("sim", {}), **value} if key == "sim" else value
     return PipelineConfig(**{key: tuple(value) if types[key] == "tuple" else value

@@ -206,14 +206,14 @@ def default_metapaths() -> list[MetaPath]:
 # -- serialization ----------------------------------------------------------
 
 def write_graph(graph: HetGraph, vertices_path, edges_path,
-                comment: str | None = None) -> None:
+                meta: dict | None = None) -> None:
     write_tsv(vertices_path, ("id", "type", "payload"),
               ((v, graph.vertex_type[v], graph.payload[v]) for v in graph.vertices()),
-              comment)
+              meta)
     write_tsv(edges_path, ("src", "edge_type", "dst"),
               ((src, etype, dst) for (src, etype) in sorted(graph._adj)
                for dst in sorted(graph._adj[(src, etype)])),
-              comment)
+              meta)
 
 
 def read_graph(vertices_path, edges_path) -> HetGraph:
@@ -224,11 +224,7 @@ def read_graph(vertices_path, edges_path) -> HetGraph:
 
 
 def write_metapaths(paths: list[MetaPath], path, meta: dict | None = None) -> None:
-    steps = [p.to_json() for p in paths]
-    if meta is None:
-        dump_json(Path(path), steps)
-    else:
-        dump_json(Path(path), {"metapaths": steps}, meta)
+    dump_json(Path(path), {"metapaths": [p.to_json() for p in paths]}, meta)
 
 
 def read_metapaths(path) -> list[MetaPath]:

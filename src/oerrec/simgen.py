@@ -33,7 +33,7 @@ import numpy as np
 from .corpus import (Corpus, EventKind, Grade, JudgedQuery, OerItem, OerType,
                      ReaderProfile, ReadingEvent, write_corpus)
 from .hetgraph import HetGraph, default_metapaths, write_graph, write_metapaths
-from .util import dump_json, fork_seed, stable_hash, write_tsv
+from .util import dump_json, fork_seed, write_tsv
 
 N_PAGES = 10
 COMMUNITY_COURSES = 3
@@ -356,19 +356,19 @@ def generate(config: SimConfig) -> SimResult:
 
 
 def write_simulation(config: SimConfig, result: SimResult, out_dir,
-                     comment: str | None = None) -> None:
+                     meta: dict | None = None) -> None:
     """Corpus streams, graph files, default meta-paths, latent labels and a
     config echo for `result = generate(config)`, all under out_dir.
 
-    The corpus streams stay comment-free (their formats carry no comments);
-    provenance for them lives in sim_config.json.
+    Every file but the corpus streams (their formats carry no comments)
+    carries meta, the run's provenance record (`PipelineConfig.meta`);
+    sim_config.json holds the full `SimConfig` next to it.
     """
     out = Path(out_dir)
     write_corpus(result.corpus, out)
 
     write_tsv(out / "latent.tsv", ("reader_id", "community"),
-              sorted(result.latent.items()), comment)
-    write_graph(result.graph, out / "vertices.tsv", out / "edges.tsv", comment)
-    write_metapaths(default_metapaths(), out / "metapaths.json")
-    dump_json(out / "sim_config.json", config.to_dict(),
-              meta={"config_hash": stable_hash(config.to_dict()), "seed": config.seed})
+              sorted(result.latent.items()), meta)
+    write_graph(result.graph, out / "vertices.tsv", out / "edges.tsv", meta)
+    write_metapaths(default_metapaths(), out / "metapaths.json", meta)
+    dump_json(out / "sim_config.json", config.to_dict(), meta)

@@ -129,12 +129,13 @@ def load_json(path: str | Path) -> Any:
 
 
 def write_tsv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence],
-              comment: str | None = None) -> None:
-    """A `# columns` line, an optional `# comment` line, then one
-    tab-joined line per row."""
+              meta: dict | None = None) -> None:
+    """A `# columns` line, the provenance record meta (`PipelineConfig.meta`)
+    as a `# config_hash=... seed=... stage=...` line, then the rows tab-joined."""
     lines = ["# " + "\t".join(columns)]
-    if comment:
-        lines.append(f"# {comment}")
+    if meta is not None:
+        lines.append(f"# config_hash={meta['config_hash']} seed={meta['seed']} "
+                     f"stage={meta['stage']}")
     lines += ["\t".join(map(str, row)) for row in rows]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import re
 import shutil
 import subprocess
 import sys
@@ -183,6 +184,8 @@ class TestErrors:
         ({"k_loc": 2.5}, "config key 'k_loc' must be an integer, got 2.5"),
         ({"seed": "7"}, "config key 'seed' must be an integer or null, got '7'"),
         ({"restarts": True}, "config key 'restarts' must be an integer, got True"),
+        ({"k1": float("nan")}, "config key 'k1' must be a number, got nan"),
+        ({"mu": float("inf")}, "config key 'mu' must be a number, got inf"),
     ])
     def test_config_value_of_wrong_kind_rejected(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "cfg.json"
@@ -203,15 +206,38 @@ class TestErrors:
         ({"sim": {"alpha": None}}, "config key 'sim.alpha' must be a number, got None"),
         ({"sim": {"preferred_types": "video"}},
          "config key 'sim.preferred_types' must be a list of strings, got 'video'"),
+        ({"group_weights": {"RPF-C": float("nan")}},
+         "config key 'group_weights.RPF-C' must be a number, got nan"),
+        ({"sim": {"alpha": float("-inf")}}, "config key 'sim.alpha' must be a number, got -inf"),
+        ({"sim": {"oers_per_type": {"video": "2"}}},
+         "config key 'sim.oers_per_type.video' must be an integer, got '2'"),
+        ({"sim": {"oers_per_type": {"wiki": 3, "video": True}}},
+         "config key 'sim.oers_per_type.video' must be an integer, got True"),
     ])
     def test_nested_config_value_rejected(self, tmp_path, capsys, command, extra, message):
-        """`sim` keys are checked by name and kind against `SimConfig`, and
-        `group_weights` values as numbers, before `--out` is created."""
+        """`sim` keys are checked by name and kind against `SimConfig`,
+        `group_weights` values as finite numbers and `sim.oers_per_type`
+        values as integers, before `--out` is created."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, **extra}))
         out = tmp_path / "out"
         reads = ["--in", tmp_path] if command == "featurize" else []
         assert run_cli([command, "--config", cfg, "--out", out, *reads]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train-community-classifier", ["--lambda", "nan"],
+         "config key 'lam' must be a number, got nan"),
+        ("simulate", ["--alpha", "inf"], "config key 'sim.alpha' must be a number, got inf"),
+        ("pipeline", ["--noise", "NaN"], "config key 'sim.grade_noise' must be a number, got nan"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, command, flags, message):
+        """argparse's float() reads "nan" and "inf"; the config check
+        rejects them before `--out` is created."""
+        out = tmp_path / "out"
+        reads = ["--in", tmp_path] if command not in ("simulate", "pipeline") else []
+        assert run_cli([command, "--seed", "3", "--out", out, *reads, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -454,6 +480,44 @@ class TestStages:
         assert report_meta["config_hash"] == features_meta["config_hash"]
         comment = (pipeline_dir / "communities.tsv").read_text().splitlines()[1]
         assert comment.startswith(f"# config_hash={report_meta['config_hash']} seed=3")
+
+    @pytest.mark.parametrize("command, flags, written", [
+        ("simulate", ["--readers", "15"],
+         {"latent.tsv", "vertices.tsv", "edges.tsv", "metapaths.json", "sim_config.json"}),
+        ("featurize", ["--in", "corpus"], {"features.json"}),
+        ("cluster", [], {"communities.tsv", "cluster_eval.json"}),
+        ("graph-build", ["--in", "corpus"],
+         {"vertices.tsv", "edges.tsv", "metapaths.json", "graph_stats.json"}),
+    ])
+    def test_one_command_writes_one_record(self, tmp_path, monkeypatch, capsys,
+                                           command, flags, written):
+        """Every JSON `_meta` and every TSV comment line that one command
+        writes names the same config hash and seed, and the command as its
+        stage; only the corpus streams carry none."""
+        monkeypatch.chdir(tmp_path)
+        if command != "simulate":
+            assert run_cli(["simulate", "--out", "corpus", "--seed", "3", "--readers", "15"]) == 0
+        if command in ("cluster", "graph-build"):
+            assert run_cli(["featurize", "--in", "corpus", "--out", "run", "--seed", "3"]) == 0
+        out = tmp_path / ("corpus" if command == "simulate" else "run")
+        before = snapshot(out)
+        assert run_cli([command, "--out", out.name, "--seed", "3", *flags]) == 0
+        capsys.readouterr()
+        records = {}
+        for name, blob in snapshot(out).items():
+            if before.get(name) == blob or name.name in CORPUS_FILES:
+                continue
+            if name.suffix == ".json":
+                meta = json.loads(blob)["_meta"]
+                records[name.name] = (meta["config_hash"], str(meta["seed"]), meta["stage"])
+            else:
+                line = blob.decode().splitlines()[1]
+                match = re.fullmatch(r"# config_hash=(\S+) seed=(\S+) stage=(\S+)", line)
+                assert match, (name, line)
+                records[name.name] = match.groups()
+        assert set(records) == written | {"run_config.json"}
+        (_, seed, stage), = set(records.values())
+        assert (seed, stage) == ("3", command)
 
     def test_recommend_prints_ranked_results(self, pipeline_dir, capsys):
         assert run_cli([

@@ -241,10 +241,11 @@ class TestCommunitiesFile:
         path = tmp_path / "communities.tsv"
         assignment = {"r2": 1, "r1": 0}
         source = {"r2": "predicted", "r1": "clustered"}
-        write_communities(path, assignment, source, comment="config_hash=abc seed=1")
+        write_communities(path, assignment, source,
+                          meta={"config_hash": "abc", "seed": 1, "stage": "assign"})
         lines = path.read_text().splitlines()
         assert lines[0] == "# reader_id\tcommunity\tsource"
-        assert lines[1] == "# config_hash=abc seed=1"
+        assert lines[1] == "# config_hash=abc seed=1 stage=assign"
         got_assignment, got_source = read_communities(
             path, k=max(assignment.values()) + 1)
         assert got_assignment == assignment

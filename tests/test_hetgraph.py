@@ -1,5 +1,6 @@
 """Typed graph construction and meta-path walk propagation."""
 
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,19 +215,27 @@ class TestDefaultMetapaths:
 class TestGraphIO:
     def test_graph_round_trip_with_comment(self, toy_graph, tmp_path):
         vp, ep = tmp_path / "vertices.tsv", tmp_path / "edges.tsv"
-        write_graph(toy_graph, vp, ep, comment="config_hash=x seed=0")
-        assert "# config_hash=x seed=0" in vp.read_text()
+        write_graph(toy_graph, vp, ep, meta={"config_hash": "x", "seed": 0, "stage": "s"})
+        for path in (vp, ep):
+            assert path.read_text().splitlines()[1] == "# config_hash=x seed=0 stage=s"
         again = read_graph(vp, ep)
         assert again.vertex_type == toy_graph.vertex_type
         assert again.payload == toy_graph.payload
         assert graph_as_dicts(again) == graph_as_dicts(toy_graph)
 
     def test_metapaths_round_trip_bare_and_wrapped(self, tmp_path):
+        """write_metapaths writes the object form; a hand-written bare list
+        stays an accepted input."""
         paths = default_metapaths()
         bare = tmp_path / "bare.json"
-        write_metapaths(paths, bare)
+        bare.write_text(json.dumps([p.to_json() for p in paths]))
         assert read_metapaths(bare) == paths
+        plain = tmp_path / "plain.json"
+        write_metapaths(paths, plain)
+        assert list(json.loads(plain.read_text())) == ["metapaths"]
+        assert read_metapaths(plain) == paths
         wrapped = tmp_path / "wrapped.json"
-        write_metapaths(paths, wrapped, meta={"config_hash": "x", "seed": 0})
+        meta = {"config_hash": "x", "seed": 0, "stage": "graph-build"}
+        write_metapaths(paths, wrapped, meta)
         assert read_metapaths(wrapped) == paths
-        assert '"_meta"' in wrapped.read_text()
+        assert json.loads(wrapped.read_text())["_meta"] == meta

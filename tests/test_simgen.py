@@ -1,6 +1,7 @@
 """Synthetic corpus generator: determinism, planted structure, artifacts."""
 
 import itertools
+import json
 
 import pytest
 
@@ -21,6 +22,7 @@ from oerrec.simgen import (
 
 SMALL = SimConfig(n_readers=12, n_communities=3, events_per_reader=4.0,
                   queries_per_reader=2.0, seed=2)
+META = {"config_hash": "abc", "seed": 2, "stage": "simulate", "overrides": {}}
 
 
 def corpus_bytes(corpus):
@@ -171,7 +173,7 @@ class TestSeparationAtAlphaOne:
 
 class TestArtifacts:
     def test_write_simulation_emits_all_files(self, tmp_path):
-        write_simulation(SMALL, generate(SMALL), tmp_path, comment="run 1")
+        write_simulation(SMALL, generate(SMALL), tmp_path, META)
         expected = {"readers.jsonl", "events.jsonl", "oers.jsonl",
                     "judgments.tsv", "latent.tsv", "vertices.tsv",
                     "edges.tsv", "metapaths.json", "sim_config.json"}
@@ -179,10 +181,10 @@ class TestArtifacts:
         assert expected <= names
 
     def test_latent_file_round_trips(self, tmp_path):
-        write_simulation(SMALL, generate(SMALL), tmp_path, comment="hello")
+        write_simulation(SMALL, generate(SMALL), tmp_path, META)
         lines = (tmp_path / "latent.tsv").read_text().splitlines()
         assert lines[0] == "# reader_id\tcommunity"
-        assert lines[1] == "# hello"
+        assert lines[1] == "# config_hash=abc seed=2 stage=simulate"
         rows = [line.split("\t") for line in lines[2:]]
         assert {r: int(c) for r, c in rows} == generate(SMALL).latent
 
@@ -193,8 +195,19 @@ class TestArtifacts:
             assert (tmp_path / name).read_bytes() == blob
 
     def test_sim_config_echo_carries_meta(self, tmp_path):
+        """sim_config.json holds the full SimConfig under the run's record,
+        and so does every other file but the corpus streams."""
+        write_simulation(SMALL, generate(SMALL), tmp_path, META)
+        echo = json.loads((tmp_path / "sim_config.json").read_text())
+        assert echo == {"_meta": META, **json.loads(json.dumps(SMALL.to_dict()))}
+        assert json.loads((tmp_path / "metapaths.json").read_text())["_meta"] == META
+        for name in ("vertices.tsv", "edges.tsv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[1] == "# config_hash=abc seed=2 stage=simulate"
+
+    def test_without_meta_no_file_carries_a_record(self, tmp_path):
         write_simulation(SMALL, generate(SMALL), tmp_path)
-        text = (tmp_path / "sim_config.json").read_text()
-        assert '"_meta"' in text
-        assert '"config_hash"' in text
-        assert f'"seed": {SMALL.seed}' in text
+        for name in ("sim_config.json", "metapaths.json"):
+            assert "_meta" not in json.loads((tmp_path / name).read_text())
+        for name in ("latent.tsv", "vertices.tsv", "edges.tsv"):
+            assert not (tmp_path / name).read_text().splitlines()[1].startswith("#")
