@@ -19,7 +19,7 @@ from pathlib import Path
 from . import community as community_mod
 from . import evaluation, features, hetgraph, maxent, ranker, simgen
 from .config import PipelineConfig, load_config
-from .corpus import read_corpus, read_streams, validate_corpus, write_corpus
+from .corpus import copy_streams, read_corpus, read_streams, validate_corpus
 from .rankfeatures import (RankFeatureExtractor, build_query_features, read_rankfeat,
                            write_rankfeat)
 from .util import dump_json, fork_seed, load_json
@@ -71,16 +71,19 @@ def stage_simulate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 
 
 def stage_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> str:
-    corpus = read_corpus(cfg.in_dir)
-    report = validate_corpus(corpus)
     out = Path(cfg.out_dir)
+    # into another directory, the streams are copied and checked against the
+    # digests of the bytes that were parsed
+    digests = {} if Path(cfg.in_dir).resolve() != out.resolve() else None
+    corpus = read_corpus(cfg.in_dir, digests)
+    report = validate_corpus(corpus)
+    if report["consistent"] and digests is not None:
+        copy_streams(cfg.in_dir, out, digests)
     # validation.json records the issues even when the corpus fails them
     dump_json(out / "validation.json", report, cfg.meta("ingest"))
     if not report["consistent"]:
         raise ValueError(f"corpus inconsistent: {len(report['issues'])} issues "
                          f"(see {out / 'validation.json'})")
-    if Path(cfg.in_dir).resolve() != out.resolve():
-        write_corpus(corpus, out)
     return (f"ingest: {len(corpus.readers)} readers, {len(corpus.events)} events, "
             f"{len(corpus.queries)} queries, consistent={report['consistent']}")
 

@@ -10,18 +10,26 @@ stream loop reports either as ``<stream>:<line>: <reason>``, a ``KeyError``
 as ``missing field '<key>'``. Cross-record
 references are checked separately by :func:`validate_corpus`, which returns
 the ``validation.json`` document.
+
+Only ``simulate`` writes streams from records (:func:`write_corpus`).
+``ingest`` copies the bytes it parsed: :func:`read_corpus` can record the
+sha256 of each stream it reads, and :func:`copy_streams` copies the files
+byte for byte, checking each against that digest, so a valid but
+non-canonical input is kept as it is and a stream that changed after it
+was parsed is an error.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .util import atomic_write_text
+from .util import atomic_write_text, checked_copy, write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +58,10 @@ class Grade(enum.Enum):
     @property
     def gain(self) -> int | None:
         """Graded gain used for ranking metrics; NotSure carries no gain."""
-        return {"Good": 2, "OK": 1, "Bad": 0, "NotSure": None}[self.value]
+        return _GAINS[self._value_]
+
+
+_GAINS = {"Good": 2, "OK": 1, "Bad": 0, "NotSure": None}
 
 
 # Kinds whose bbox anchors a passage of the paper (quotes and
@@ -75,8 +86,11 @@ class ReaderProfile:
     has_rpf: bool = False
 
 
-@dataclass(frozen=True)
-class ReadingEvent:
+# A NamedTuple, not a frozen dataclass: it is as immutable, and a corpus
+# builds one per event line (38k on a 320-reader corpus, in every stage that
+# parses events), where a frozen dataclass pays one object.__setattr__ per
+# field and took four times as long to build.
+class ReadingEvent(NamedTuple):
     event_id: str
     kind: EventKind
     reader_id: str
@@ -109,7 +123,7 @@ class JudgedQuery:
 
     def graded_candidates(self) -> list[tuple[str, int]]:
         """Candidates with numeric gain, NotSure judgments dropped."""
-        return [(oer, g.gain) for oer, g in self.judgments if g.gain is not None]
+        return [(oer, gain) for oer, g in self.judgments if (gain := g.gain) is not None]
 
 
 @dataclass
@@ -432,24 +446,45 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
 STREAMS = ("events.jsonl", "readers.jsonl", "oers.jsonl", "judgments.tsv")
 
 
-def _stream_lines(in_dir, name: str, required: bool = False) -> list[str] | None:
+def _stream_lines(in_dir, name: str, required: bool = False,
+                  digests: dict[str, str] | None = None) -> list[str] | None:
     path = Path(in_dir) / name
     if not path.exists():
         if required:
             raise FileNotFoundError(f"{path} not found")
         return None
-    return path.read_text(encoding="utf-8").splitlines()
+    data = path.read_bytes()
+    if digests is not None:
+        digests[name] = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data  # only the lines live on through the parse
+    return text.splitlines()
 
 
-def read_corpus(in_dir) -> Corpus:
-    """Parse a corpus directory; a missing readers.jsonl means RBF-only readers."""
-    events = _stream_lines(in_dir, "events.jsonl", required=True)
+def read_corpus(in_dir, digests: dict[str, str] | None = None) -> Corpus:
+    """Parse a corpus directory; a missing readers.jsonl means RBF-only readers.
+    If digests is given, it receives the sha256 of each stream file read,
+    taken from the bytes that were parsed, under the file's name."""
+    events = _stream_lines(in_dir, "events.jsonl", required=True, digests=digests)
     return parse_corpus(
         events,
-        _stream_lines(in_dir, "readers.jsonl"),
-        _stream_lines(in_dir, "oers.jsonl"),
-        _stream_lines(in_dir, "judgments.tsv"),
+        _stream_lines(in_dir, "readers.jsonl", digests=digests),
+        _stream_lines(in_dir, "oers.jsonl", digests=digests),
+        _stream_lines(in_dir, "judgments.tsv", digests=digests),
     )
+
+
+def copy_streams(in_dir, out_dir, digests: dict[str, str]) -> None:
+    """Copy each stream file that `read_corpus(in_dir, digests)` read into
+    out_dir byte for byte, and write the streams it lacked empty. A copy
+    whose bytes differ from their digest (the file changed after it was
+    parsed) raises ValueError naming the file, and then no stream in
+    out_dir is replaced."""
+    src, out = Path(in_dir), Path(out_dir)
+    write_atomically({
+        out / name: checked_copy(src / name, digests[name]) if name in digests
+        else lambda fh: None
+        for name in STREAMS})
 
 
 def read_streams(in_dir, *names: str) -> Corpus:

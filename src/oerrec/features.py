@@ -190,8 +190,8 @@ def extract_rbf(corpus: Corpus, loc_model: LocationClusterModel) -> dict[str, Fe
             latest[key] = (stamp, event.grade)
     R = np.zeros((len(readers), len(oer_ids)))
     for (reader_id, oer_id), (_, grade) in latest.items():
-        if grade.gain is not None:
-            R[ridx[reader_id], oer_col[oer_id]] = float(grade.gain)
+        if (gain := grade.gain) is not None:
+            R[ridx[reader_id], oer_col[oer_id]] = float(gain)
 
     # Undirected reply-exchange counts, hence a symmetric block.
     A = np.zeros((len(readers), len(readers)))

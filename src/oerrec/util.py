@@ -9,7 +9,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,19 +34,47 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def write_atomically(writers: dict[Path, Callable[[BinaryIO], Any]]) -> None:
+    """Call each writer on a new temp file beside its path, opened for binary
+    writing, and move the temp files over their paths once every writer has
+    returned. If one raises, all the temp files are removed and no path is
+    touched, so a failed run never leaves a partial file or half a set of
+    files behind."""
+    tmps: list[tuple[str, Path]] = []
+    try:
+        for path, write in writers.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            tmps.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+        for tmp, path in tmps:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text so that a failed run never leaves a partial file behind."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomically({Path(path): lambda fh: fh.write(text.encode("utf-8"))})
+
+
+def checked_copy(src: str | Path, sha256: str) -> Callable[[BinaryIO], None]:
+    """A `write_atomically` writer that copies src and raises ValueError if
+    the bytes it copied do not have the sha256 hex digest given, that is, if
+    src changed since that digest was taken."""
+    def write(fh: BinaryIO) -> None:
+        digest = hashlib.sha256()
+        with open(src, "rb") as fin:
+            while chunk := fin.read(1 << 20):
+                digest.update(chunk)
+                fh.write(chunk)
+        if digest.hexdigest() != sha256:
+            raise ValueError(f"{src} changed while it was read")
+    return write
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import filecmp
 import hashlib
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import pytest
 
 from oerrec import cli, evaluation, ranker
 from oerrec.cli import build_parser, main
+from oerrec.corpus import read_corpus
 from oerrec.rankfeatures import read_rankfeat
 from oerrec.util import load_json
 
@@ -448,6 +450,56 @@ class TestStages:
             assert (b / name).read_bytes() == (a / name).read_bytes()
         validation = load_json(b / "validation.json")
         assert validation["consistent"] is True
+
+    def test_ingest_copies_a_non_canonical_corpus_byte_for_byte(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        # CRLF line ends, keys out of order, extra spaces, an unknown field,
+        # null fields left out, and a reader line with an empty profile
+        streams = {
+            "readers.jsonl": ['{"skills": {"python": 2},  "reader": "r1", "courses": ["db"]}',
+                              '{"reader":"r9","courses":[],"skills":{}}'],
+            "events.jsonl": [
+                '{"kind": "quote", "event": "e1", "reader": "r1", "paper": "p1", '
+                '"page": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "quote_text": "hash table", '
+                '"note": "unknown"}',
+                '{"event":"e2","reader":"r2","kind":"reply","paper":"p1","page":0,'
+                '"bbox":[0.1,0.1,0.2,0.2],"content_text":"agreed","target":"e1","ts":3}',
+                '{"event":"e3","kind":"rating","reader":"r2","paper":"p1","page":1,'
+                '"bbox":[0,0,1,1],"oer":"v1","grade":"Good"}'],
+            "oers.jsonl": ['{"type": "video", "oer": "v1", "body": "hash table", "title": "Hashing"}'],
+            "judgments.tsv": ["q1\tr1\tp1\thash table\tv1\tOK"],
+        }
+        for name, lines in streams.items():
+            (a / name).write_bytes("".join(line + "\r\n" for line in lines).encode())
+        assert run_cli(["ingest", "--in", a, "--out", b, "--seed", "4"]) == 0
+        assert capsys.readouterr().out.startswith("ingest: 3 readers, 3 events, 1 queries")
+        for name in CORPUS_FILES:
+            assert filecmp.cmp(a / name, b / name, shallow=False), name
+        assert read_corpus(b) == read_corpus(a)
+
+    def test_ingest_refuses_a_stream_changed_while_it_was_read(self, tmp_path, monkeypatch,
+                                                               capsys):
+        a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        assert run_cli(["simulate", "--out", a, "--seed", "4", "--readers", "6"]) == 0
+        assert run_cli(["simulate", "--out", b, "--seed", "5", "--readers", "6"]) == 0
+        assert run_cli(["ingest", "--in", a, "--out", out, "--seed", "4"]) == 0
+        before = snapshot(out)
+        validate = cli.validate_corpus
+
+        def validate_then_change(corpus):
+            # judgments.tsv is the last stream copied, so the others are
+            # copied before the change is found
+            with open(b / "judgments.tsv", "a", encoding="utf-8") as fh:
+                fh.write("q-new\tr000\tp00\tquote\tvideo00\tGood\n")
+            return validate(corpus)
+
+        monkeypatch.setattr(cli, "validate_corpus", validate_then_change)
+        capsys.readouterr()
+        assert run_cli(["ingest", "--in", b, "--out", out, "--seed", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {b / 'judgments.tsv'} changed while it was read\n")
+        assert snapshot(out) == before  # no .tmp file left, validation.json kept
 
     def test_reader_absent_from_readers_file_is_registered_profile_less(self, tmp_path,
                                                                         capsys):

@@ -56,6 +56,10 @@ class TestParse:
         assert "events.jsonl:1" in str(exc.value)
         assert "x0<=x1" in str(exc.value)
 
+    def test_events_are_immutable(self, toy_corpus):
+        with pytest.raises(AttributeError):
+            toy_corpus.events["e06"].target_event_id = "missing"
+
     def test_reader_without_profile_is_auto_registered(self, toy_corpus):
         assert "r3" in toy_corpus.readers
         assert toy_corpus.readers["r3"].has_rpf is False
@@ -128,7 +132,7 @@ class TestValidate:
         evt = toy_corpus.events["e06"]
         broken = Corpus(
             dict(toy_corpus.readers),
-            {**toy_corpus.events, "e06": evt.__class__(**{**evt.__dict__, "target_event_id": "missing"})},
+            {**toy_corpus.events, "e06": evt._replace(target_event_id="missing")},
             dict(toy_corpus.oers),
             dict(toy_corpus.queries),
         )
@@ -141,7 +145,7 @@ class TestValidate:
         evt = toy_corpus.events["e07"]
         broken = Corpus(
             dict(toy_corpus.readers),
-            {**toy_corpus.events, "e07": evt.__class__(**{**evt.__dict__, "oer_id": "ghost"})},
+            {**toy_corpus.events, "e07": evt._replace(oer_id="ghost")},
             dict(toy_corpus.oers),
             dict(toy_corpus.queries),
         )

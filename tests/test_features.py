@@ -1,6 +1,5 @@
 """Feature extraction: location clusters, TF groups, ratings, replies."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -256,8 +255,8 @@ class TestReplyRelation:
         # a self-reply and a dangling reply count in neither
         first = next(iter(corpus.events.values()))
         for event_id, target in (("x-self", first.event_id), ("x-dangling", "gone")):
-            corpus.events[event_id] = dataclasses.replace(
-                first, event_id=event_id, kind=EventKind.REPLY,
+            corpus.events[event_id] = first._replace(
+                event_id=event_id, kind=EventKind.REPLY,
                 target_event_id=target, oer_id=None, grade=None)
         fm = extract_features(corpus, k_loc=2, seed=0)
         rows, cols = np.nonzero(np.triu(fm.group("ReplyRelation").matrix, 1))
