@@ -228,7 +228,7 @@ def stage_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
             cfg.threshold, cfg.cluster_groups, cfg.classifier_groups,
             cfg.group_weights)
         path = out / "report_missing_rpf.json"
-    evaluation.write_report(report, path, cfg.meta(f"evaluate:{mode}"))
+    dump_json(path, report.to_dict(), cfg.meta(f"evaluate:{mode}"))
     comm = report.means("communitized")["ndcg@3"]
     glob = report.means("global")["ndcg@3"]
     p = report.sign_test_p("ndcg@3")

@@ -7,8 +7,8 @@ missing-profile simulation compose these steps.
 
 from __future__ import annotations
 
-import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +66,9 @@ def pairwise_cluster_eval(
         for reader in pair:
             if reader not in assignment:
                 raise ValueError(f"reply pair names unclustered reader {reader!r}")
-    readers = sorted(assignment)
-    same = {frozenset((a, b))
-            for a, b in itertools.combinations(readers, 2)
-            if assignment[a] == assignment[b]}
-    hit = len(same & reply_pairs)
-    precision = hit / len(same) if same else 0.0
+    same = sum(n * (n - 1) // 2 for n in Counter(assignment.values()).values())
+    hit = sum(assignment[a] == assignment[b] for a, b in reply_pairs)
+    precision = hit / same if same else 0.0
     recall = hit / len(reply_pairs) if reply_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
@@ -124,7 +121,7 @@ def predict_behavior(
 # -- communities.tsv ------------------------------------------------------
 
 def write_communities(path, assignment: dict[str, int], source: dict[str, str],
-                      meta: dict | None = None) -> None:
+                      meta: dict) -> None:
     write_tsv(path, ("reader_id", "community", "source"),
               ((r, assignment[r], source.get(r, "clustered")) for r in sorted(assignment)),
               meta)

@@ -150,10 +150,19 @@ class Corpus:
 
 # -- parsing --------------------------------------------------------------
 
+def _check_reader_id(reader_id: str) -> None:
+    """Reject a reader id that the first column of communities.tsv cannot
+    carry: `util.read_tsv` skips a line that begins with `#` and splits at
+    tabs and at every line break `str.splitlines` knows."""
+    if reader_id[:1] == "#" or "\t" in reader_id or "".join(reader_id.splitlines()) != reader_id:
+        raise ValueError(f"reader id {reader_id!r} begins with '#' or holds a tab or a line break")
+
+
 def _parse_reader(obj: dict) -> ReaderProfile:
     reader_id = obj["reader"]
     if not isinstance(reader_id, str) or not reader_id:
         raise ValueError("reader id must be a non-empty string")
+    _check_reader_id(reader_id)
     courses = obj.get("courses", [])
     skills = obj.get("skills", {})
     if not isinstance(courses, list) or not all(isinstance(c, str) for c in courses):
@@ -204,6 +213,7 @@ def _parse_event(obj: dict) -> ReadingEvent:
                   "quote_text": quote, "content_text": content}
         name = next(name for name, value in fields.items() if type(value) is not str)
         raise ValueError(f"{name} must be a string")
+    _check_reader_id(reader_id)
     kind_raw = obj["kind"]
     kind = _EVENT_KINDS.get(kind_raw) if type(kind_raw) is str else None
     if kind is None:
@@ -321,6 +331,7 @@ def parse_corpus(
             if len(cols) != 6:
                 raise ValueError(f"expected 6 tab-separated columns, got {len(cols)}")
             query_id, reader_id, paper_id, quote_text, oer_id, grade_raw = cols
+            _check_reader_id(reader_id)
             grade = _parse_grade(grade_raw)
             known = judged.get(query_id)
             if known is None:
@@ -386,7 +397,7 @@ def validate_corpus(corpus: Corpus) -> dict:
 # -- serialization --------------------------------------------------------
 
 def _jsonl(records: Iterable[dict]) -> str:
-    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    return "".join(json.dumps(r, separators=(",", ":"), allow_nan=False) + "\n" for r in records)
 
 
 def serialize_readers(corpus: Corpus) -> str:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
 from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, CommunityRankerSet,
                      community_jobs, require_assignment, train_models)
-from .util import dump_json, fork_seed, rng_for
+from .util import fork_seed, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -101,10 +100,6 @@ class MetricReport:
             "extras": self.extras,
             "settings": self.settings,
         }
-
-
-def write_report(report: MetricReport, path, meta: dict | None = None) -> None:
-    dump_json(Path(path), report.to_dict(), meta)
 
 
 # -- cross-validation --------------------------------------------------------

@@ -205,8 +205,7 @@ def default_metapaths() -> list[MetaPath]:
 
 # -- serialization ----------------------------------------------------------
 
-def write_graph(graph: HetGraph, vertices_path, edges_path,
-                meta: dict | None = None) -> None:
+def write_graph(graph: HetGraph, vertices_path, edges_path, meta: dict) -> None:
     write_tsv(vertices_path, ("id", "type", "payload"),
               ((v, graph.vertex_type[v], graph.payload[v]) for v in graph.vertices()),
               meta)
@@ -223,7 +222,7 @@ def read_graph(vertices_path, edges_path) -> HetGraph:
     return graph
 
 
-def write_metapaths(paths: list[MetaPath], path, meta: dict | None = None) -> None:
+def write_metapaths(paths: list[MetaPath], path, meta: dict) -> None:
     dump_json(Path(path), {"metapaths": [p.to_json() for p in paths]}, meta)
 
 

@@ -353,22 +353,18 @@ def train_communitized(
 
 # -- serialization -----------------------------------------------------------
 
-def write_model(model: RankingModel, path, meta: dict | None = None) -> None:
-    dump_json(Path(path), model.to_dict(), meta)
-
-
 def read_model(path) -> RankingModel:
     return RankingModel.from_dict(load_json(Path(path)))
 
 
-def write_rankerset(rset: CommunityRankerSet, out_dir, meta: dict | None = None) -> None:
+def write_rankerset(rset: CommunityRankerSet, out_dir, meta: dict) -> None:
     out = Path(out_dir)
     index = {"global": "model_global.json", "communities": {},
              "threshold": rset.threshold}
-    write_model(rset.global_model, out / "model_global.json", meta)
+    dump_json(out / "model_global.json", rset.global_model.to_dict(), meta)
     for c, model in sorted(rset.models.items()):
         name = f"model_c{c}.json"
-        write_model(model, out / name, meta)
+        dump_json(out / name, model.to_dict(), meta)
         index["communities"][str(c)] = name
     dump_json(out / "rankerset.json", index, meta)
 

@@ -355,8 +355,7 @@ def generate(config: SimConfig) -> SimResult:
     return SimResult(gen.corpus, dict(gen.latent), graph)
 
 
-def write_simulation(config: SimConfig, result: SimResult, out_dir,
-                     meta: dict | None = None) -> None:
+def write_simulation(config: SimConfig, result: SimResult, out_dir, meta: dict) -> None:
     """Corpus streams, graph files, default meta-paths, latent labels and a
     config echo for `result = generate(config)`, all under out_dir.
 

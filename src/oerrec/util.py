@@ -30,7 +30,7 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
 
 def stable_hash(obj: Any) -> str:
     """Short hex digest of a JSON-serializable object, key order ignored."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -82,9 +82,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _text(obj, indent: str) -> str:
     """obj as `json.dumps(indent=1, sort_keys=True)` writes it at the
-    nesting level whose lines start with indent. Raises TypeError on what
-    no artifact holds: NaN, an infinity, a non-string key or a value of
-    any other type."""
+    nesting level whose lines start with indent. Raises TypeError naming
+    what no artifact holds: NaN, an infinity, a non-string key or a value
+    of any other type."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -94,7 +94,7 @@ def _text(obj, indent: str) -> str:
         if kinds == {float}:
             body = sep.join(map(float.__repr__, obj))
             if "n" in body:  # nan or inf
-                raise TypeError
+                raise TypeError(repr(next(v for v in obj if not math.isfinite(v))))
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
         elif kinds == {str}:
@@ -106,11 +106,10 @@ def _text(obj, indent: str) -> str:
         if not obj:
             return "{}"
         inner = indent + " "
-        items = []
-        for k, v in sorted(obj.items()):
+        for k in obj:
             if not isinstance(k, str):
-                raise TypeError
-            items.append(_encode_str(k) + ": " + _text(v, inner))
+                raise TypeError(f"key {k!r}")
+        items = [_encode_str(k) + ": " + _text(v, inner) for k, v in sorted(obj.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     # json's order of checks: bool before int; subclasses as their base type
     if isinstance(obj, str):
@@ -125,26 +124,23 @@ def _text(obj, indent: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float) and math.isfinite(obj):
         return float.__repr__(obj)
-    raise TypeError
+    raise TypeError(repr(obj))
 
 
-def dump_json(path: str | Path, obj: Any, meta: dict | None = None) -> None:
-    """Serialize obj to JSON; meta (config hash, seed, stage) goes under "_meta".
+def dump_json(path: str | Path, obj: Any, meta: dict) -> None:
+    """Write obj as JSON with meta, the provenance record
+    (`PipelineConfig.meta`), under "_meta".
 
-    The text is exactly ``json.dumps(obj, indent=1, sort_keys=True) + "\n"``.
-    Any indent sends json to its pure-Python encoder, so what artifacts
-    hold (dicts with string keys, lists, tuples, str, int, finite float,
-    bool and None) is written here instead, with json's C string encoder
-    and one join per list of plain numbers or strings. Anything else (NaN,
-    an infinity, a non-string key, a numpy scalar, a set) and any error
-    send the whole document to json itself.
+    The bytes are those of ``json.dumps`` with ``indent=1`` and
+    ``sort_keys=True`` plus a newline, from `_text`, the one encoder (json's
+    own indenting encoder is pure Python). A value that no artifact holds
+    (NaN, an infinity, a non-string key, a numpy int or bool, a set) raises
+    TypeError naming path and the value before a file is written.
     """
-    if meta is not None:
-        obj = {"_meta": meta, **obj}
     try:
-        text = _text(obj, "")
-    except (TypeError, RecursionError):
-        text = json.dumps(obj, indent=1, sort_keys=True)
+        text = _text({"_meta": meta, **obj}, "")
+    except TypeError as exc:
+        raise TypeError(f"{path}: cannot write {exc}") from None
     atomic_write_text(path, text + "\n")
 
 
@@ -157,13 +153,11 @@ def load_json(path: str | Path) -> Any:
 
 
 def write_tsv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence],
-              meta: dict | None = None) -> None:
+              meta: dict) -> None:
     """A `# columns` line, the provenance record meta (`PipelineConfig.meta`)
     as a `# config_hash=... seed=... stage=...` line, then the rows tab-joined."""
-    lines = ["# " + "\t".join(columns)]
-    if meta is not None:
-        lines.append(f"# config_hash={meta['config_hash']} seed={meta['seed']} "
-                     f"stage={meta['stage']}")
+    lines = ["# " + "\t".join(columns),
+             f"# config_hash={meta['config_hash']} seed={meta['seed']} stage={meta['stage']}"]
     lines += ["\t".join(map(str, row)) for row in rows]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 

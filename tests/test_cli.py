@@ -869,36 +869,6 @@ class TestReproducibility:
                    for name in PINNED_PROFILELESS_ARTIFACTS}
         assert digests == PINNED_PROFILELESS_ARTIFACTS
 
-    def test_no_artifact_reaches_the_json_fallback(self, tmp_path, monkeypatch, capsys):
-        """`util.dump_json` hands a document to `json.dumps(indent=1)` only
-        when it holds NaN, an infinity, a non-string key or a value of a
-        type other than the JSON ones; no stage's artifact does. The other
-        `json.dumps` callers (`stable_hash`, the corpus streams) pass no
-        indent."""
-        indented = []
-        dumps = json.dumps
-
-        def spy(obj, **kwargs):
-            if "indent" in kwargs:
-                indented.append(obj)
-            return dumps(obj, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", spy)
-        monkeypatch.chdir(tmp_path)
-        flags = ["--seed", "5", "--restarts", "1", "--folds", "2"]
-        assert run_cli(["simulate", "--out", "corpus", "--seed", "5", "--readers", "15"]) == 0
-        for stage in ("ingest", "featurize", "cluster", "train-community-classifier",
-                      "assign", "graph-build", "rankfeat"):
-            assert run_cli([stage, "--in", "corpus", "--out", "run", "--seed", "5"]) == 0
-        assert run_cli(["train-ranker", "--in", "corpus", "--out", "run", "--seed", "5",
-                        "--restarts", "1"]) == 0
-        for mode in ("cv", "missing-rpf"):
-            assert run_cli(["evaluate", "--in", "corpus", "--out", "run", "--mode", mode,
-                            *flags]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "run" / "report_missing_rpf.json").exists()
-        assert indented == []
-
 
 # sha256 of each artifact of `ingest`..`rankfeat` at master seed 7 on the
 # `simulate --seed 7 --readers 60` corpus, `--in corpus --out run`.

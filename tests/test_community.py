@@ -254,8 +254,9 @@ class TestCommunitiesFile:
     @pytest.mark.parametrize("community", [-1, 2])
     def test_community_outside_k_rejected(self, tmp_path, community):
         path = tmp_path / "communities.tsv"
-        write_communities(path, {"r1": 0, "r2": community}, {})
+        write_communities(path, {"r1": 0, "r2": community}, {},
+                          {"config_hash": "abc", "seed": 1, "stage": "cluster"})
         with pytest.raises(ValueError, match=(
-                rf"^communities.tsv:3: community {community} of reader 'r2' "
+                rf"^communities.tsv:4: community {community} of reader 'r2' "
                 rf"is outside \[0, 2\)$")):
             read_communities(path, k=2)

@@ -2,10 +2,13 @@
 
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from oerrec.community import read_communities, write_communities
 from oerrec.corpus import (
     Corpus,
     CorpusFormatError,
@@ -449,6 +452,19 @@ PARSE_ERRORS = [
     ("judgments.tsv", "q1\tr2\tp1\tq\tv2\tGood",
      "query 'q1' repeated with conflicting reader/paper/quote"),
     ("judgments.tsv", "q1\tr1\tp1\tq\tv1\tBad", "OER 'v1' judged twice in query 'q1'"),
+    # reader ids the first column of communities.tsv cannot carry
+    ("readers.jsonl", _with("readers.jsonl", reader="#r000"),
+     "reader id '#r000' begins with '#' or holds a tab or a line break"),
+    ("readers.jsonl", _with("readers.jsonl", reader="r\t0"),
+     "reader id 'r\\t0' begins with '#' or holds a tab or a line break"),
+    ("readers.jsonl", _with("readers.jsonl", reader="r0\u2028"),
+     "reader id 'r0\\u2028' begins with '#' or holds a tab or a line break"),
+    ("events.jsonl", _with("events.jsonl", reader="#r000"),
+     "reader id '#r000' begins with '#' or holds a tab or a line break"),
+    ("events.jsonl", _with("events.jsonl", reader="r\x1c0"),
+     "reader id 'r\\x1c0' begins with '#' or holds a tab or a line break"),
+    ("judgments.tsv", "q2\t#r000\tp1\tq\tv1\tGood",
+     "reader id '#r000' begins with '#' or holds a tab or a line break"),
 ]
 
 
@@ -461,3 +477,20 @@ def test_every_parse_error_names_stream_line_and_reason(stream, line, message):
         parse_corpus(*streams.values())
     assert str(exc.value) == f"{stream}:3: {message}"
     assert (exc.value.stream, exc.value.line_no) == (stream, 3)
+
+
+@given(st.text(max_size=6))
+@example("#r000")
+@example("r\n0")
+def test_an_accepted_reader_id_survives_communities_tsv(reader_id):
+    """Every reader id the parser accepts comes back from the first column
+    of communities.tsv as it was written."""
+    try:
+        parse_corpus([], [json.dumps({"reader": reader_id})])
+    except CorpusFormatError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "communities.tsv"
+        write_communities(path, {reader_id: 0}, {},
+                          {"config_hash": "h", "seed": 1, "stage": "cluster"})
+        assert read_communities(path, k=1) == ({reader_id: 0}, {reader_id: "clustered"})

@@ -17,7 +17,6 @@ from oerrec.evaluation import (
     make_folds,
     query_metrics,
     simulate_missing_rpf,
-    write_report,
 )
 from oerrec.features import extract_features
 from oerrec.hetgraph import default_metapaths
@@ -27,7 +26,7 @@ from oerrec.rankfeatures import (
     build_query_features,
 )
 from oerrec.simgen import SimConfig, generate
-from oerrec.util import fork_seed, load_json
+from oerrec.util import dump_json, fork_seed, load_json
 from oracles import oracle_ap, oracle_mrr, oracle_ndcg, oracle_sign_test
 
 
@@ -139,7 +138,7 @@ class TestMetricReport:
         report.extras = {"note": [1, 2]}
         report.settings = {"folds": 2}
         path = tmp_path / "report.json"
-        write_report(report, path, meta={"config_hash": "h", "seed": 0})
+        dump_json(path, report.to_dict(), {"config_hash": "h", "seed": 0})
         again = load_json(path)
         assert again.pop("_meta") == {"config_hash": "h", "seed": 0}
         assert again == json.loads(json.dumps(report.to_dict()))
@@ -147,8 +146,8 @@ class TestMetricReport:
     def test_report_bytes_are_stable(self, tmp_path):
         report = report_from_gains(self.GAINS)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(report, a)
-        write_report(report, b)
+        dump_json(a, report.to_dict(), {"config_hash": "h", "seed": 0})
+        dump_json(b, report.to_dict(), {"config_hash": "h", "seed": 0})
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -230,12 +230,10 @@ class TestGraphIO:
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps([p.to_json() for p in paths]))
         assert read_metapaths(bare) == paths
-        plain = tmp_path / "plain.json"
-        write_metapaths(paths, plain)
-        assert list(json.loads(plain.read_text())) == ["metapaths"]
-        assert read_metapaths(plain) == paths
         wrapped = tmp_path / "wrapped.json"
         meta = {"config_hash": "x", "seed": 0, "stage": "graph-build"}
         write_metapaths(paths, wrapped, meta)
         assert read_metapaths(wrapped) == paths
-        assert json.loads(wrapped.read_text())["_meta"] == meta
+        written = json.loads(wrapped.read_text())
+        assert list(written) == ["_meta", "metapaths"]
+        assert written["_meta"] == meta

@@ -29,10 +29,9 @@ from oerrec.ranker import (
     read_rankerset,
     train_communitized,
     train_models,
-    write_model,
     write_rankerset,
 )
-from oerrec.util import rng_for
+from oerrec.util import dump_json, rng_for
 from oracles import oracle_best_direction_ndcg3, oracle_rank_order
 
 
@@ -563,7 +562,7 @@ class TestModelIO:
         queries = random_problem(1)
         model = coordinate_ascent_train(queries, ("f0", "f1"), seed=5)
         path = tmp_path / "model.json"
-        write_model(model, path, meta={"config_hash": "x", "seed": 5})
+        dump_json(path, model.to_dict(), {"config_hash": "x", "seed": 5})
         again = read_model(path)
         assert again.feature_names == model.feature_names
         assert np.array_equal(again.weights, model.weights)
@@ -577,7 +576,7 @@ class TestModelIO:
         rset = train_communitized(
             queries, assignment, ("f0", "f1"), threshold=2, seed=1
         )
-        write_rankerset(rset, tmp_path)
+        write_rankerset(rset, tmp_path, {"config_hash": "x", "seed": 1})
         again = read_rankerset(tmp_path)
         assert set(again.models) == set(rset.models)
         assert again.threshold == rset.threshold

@@ -189,7 +189,7 @@ class TestArtifacts:
         assert {r: int(c) for r, c in rows} == generate(SMALL).latent
 
     def test_corpus_streams_byte_match_in_memory_serialization(self, tmp_path):
-        write_simulation(SMALL, generate(SMALL), tmp_path)
+        write_simulation(SMALL, generate(SMALL), tmp_path, META)
         expected = corpus_bytes(generate(SMALL).corpus)
         for name, blob in expected.items():
             assert (tmp_path / name).read_bytes() == blob
@@ -204,10 +204,3 @@ class TestArtifacts:
         for name in ("vertices.tsv", "edges.tsv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[1] == "# config_hash=abc seed=2 stage=simulate"
-
-    def test_without_meta_no_file_carries_a_record(self, tmp_path):
-        write_simulation(SMALL, generate(SMALL), tmp_path)
-        for name in ("sim_config.json", "metapaths.json"):
-            assert "_meta" not in json.loads((tmp_path / name).read_text())
-        for name in ("latent.tsv", "vertices.tsv", "edges.tsv"):
-            assert not (tmp_path / name).read_text().splitlines()[1].startswith("#")
