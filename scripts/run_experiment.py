@@ -16,43 +16,43 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from oerrec.community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
-                              pairwise_cluster_eval)
+from oerrec.community import cluster_profiles, pairwise_cluster_eval
+from oerrec.config import PipelineConfig
 from oerrec.evaluation import cross_validate_ranking, simulate_missing_rpf
-from oerrec.features import RPF_GROUPS, extract_features
+from oerrec.features import extract_features
 from oerrec.hetgraph import default_metapaths
 from oerrec.rankfeatures import RankFeatureExtractor, build_query_features
 from oerrec.simgen import SimConfig, generate
 from oerrec.util import dump_json, stable_hash
 
 
-def build_inputs(cfg: SimConfig):
+def build_inputs(sim: SimConfig, cfg: PipelineConfig):
     """Corpus -> features, judged queries, and a profile clustering."""
-    result = generate(cfg)
+    result = generate(sim)
     fm = extract_features(result.corpus)
     extractor = RankFeatureExtractor(
         result.graph, default_metapaths(), result.corpus.oers)
     queries = build_query_features(result.corpus, extractor)
-    assignment = cluster_profiles(fm, cfg.n_communities, seed=cfg.seed).assignment
+    assignment = cluster_profiles(fm, cfg, sim.seed).assignment
     return result, fm, queries, extractor.feature_names, assignment
 
 
 def run_ranking(args) -> list[dict]:
     rows = []
+    cfg = PipelineConfig(folds=args.folds, restarts=args.restarts)
     print(f"{'seed':>4} {'queries':>8} {'communitized':>13} {'global':>8} "
           f"{'gap':>8} {'sign p':>10}")
     for seed in range(args.seeds):
-        cfg = SimConfig(n_readers=args.readers, alpha=args.alpha,
+        sim = SimConfig(n_readers=args.readers, alpha=args.alpha,
                         grade_noise=args.noise, seed=seed)
         t0 = time.perf_counter()
-        _, _, queries, names, assignment = build_inputs(cfg)
-        report = cross_validate_ranking(
-            queries, names, assignment, args.folds, seed,
-            restarts=args.restarts)
+        _, _, queries, names, assignment = build_inputs(sim, cfg)
+        report = cross_validate_ranking(queries, names, assignment, cfg, seed)
         comm = report.means("communitized")["ndcg@3"]
         glob = report.means("global")["ndcg@3"]
         p = report.sign_test_p("ndcg@3")
@@ -69,14 +69,14 @@ def run_ranking(args) -> list[dict]:
 
 def run_missing_rpf(args) -> list[dict]:
     rows = []
+    cfg = PipelineConfig(folds=args.folds, restarts=args.restarts,
+                         fraction=args.fraction, sim_folds=args.sim_folds)
     print(f"{'seed':>4} {'accuracy':>9} {'communitized':>13} {'global':>8} {'gap':>8}")
     for seed in range(args.seeds):
-        cfg = SimConfig(n_readers=args.readers, alpha=args.alpha,
+        sim = SimConfig(n_readers=args.readers, alpha=args.alpha,
                         grade_noise=args.noise, seed=seed)
-        fm, queries, names = build_inputs(cfg)[1:4]
-        report = simulate_missing_rpf(
-            fm, queries, names, fraction=args.fraction, folds=args.sim_folds,
-            seed=seed, cv_folds=args.folds, restarts=args.restarts)
+        fm, queries, names = build_inputs(sim, cfg)[1:4]
+        report = simulate_missing_rpf(fm, queries, names, cfg, seed)
         comm = report.means("communitized")["ndcg@3"]
         glob = report.means("global")["ndcg@3"]
         acc = report.extras["community_prediction_accuracy"]
@@ -93,20 +93,21 @@ def run_missing_rpf(args) -> list[dict]:
 
 def run_clustering(args) -> list[dict]:
     rows = []
+    cfg = PipelineConfig()
     print(f"{'seed':>4} {'profile F1':>11} {'behavior F1':>12} {'margin':>8}")
     for seed in range(args.seeds):
-        cfg = SimConfig(n_readers=args.readers, alpha=args.alpha,
+        sim = SimConfig(n_readers=args.readers, alpha=args.alpha,
                         grade_noise=args.noise, seed=seed,
                         events_per_reader=args.events_per_reader,
                         queries_per_reader=args.queries_per_reader)
-        result = generate(cfg)
+        result = generate(sim)
         fm = extract_features(result.corpus)
         truth = result.corpus.reply_pairs()
         f1 = {}
-        for name, groups in (("profile", RPF_GROUPS),
-                             ("behavior", DEFAULT_CLASSIFIER_GROUPS)):
+        for name, groups in (("profile", cfg.cluster_groups),
+                             ("behavior", cfg.classifier_groups)):
             assignment = cluster_profiles(
-                fm, cfg.n_communities, seed=seed, groups=groups).assignment
+                fm, replace(cfg, cluster_groups=groups), seed).assignment
             f1[name] = pairwise_cluster_eval(assignment, truth)["f1"]
         rows.append({"seed": seed, "profile_f1": f1["profile"],
                      "behavior_f1": f1["behavior"],
@@ -126,6 +127,7 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    defaults = PipelineConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--experiment", choices=(*EXPERIMENTS, "all"), default="all")
     parser.add_argument("--out", default="experiments")
@@ -133,11 +135,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--readers", type=int, default=60)
     parser.add_argument("--alpha", type=float, default=0.9)
     parser.add_argument("--noise", type=float, default=0.2)
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--fraction", type=float, default=0.25,
+    parser.add_argument("--folds", type=int, default=defaults.folds)
+    parser.add_argument("--restarts", type=int, default=defaults.restarts)
+    parser.add_argument("--fraction", type=float, default=defaults.fraction,
                         help="reader fraction stripped per missing-rpf fold")
-    parser.add_argument("--sim-folds", type=int, default=4)
+    parser.add_argument("--sim-folds", type=int, default=defaults.sim_folds)
     parser.add_argument("--events-per-reader", type=float, default=3.0,
                         help="clustering block: behavior sample size per reader")
     parser.add_argument("--queries-per-reader", type=float, default=2.0,

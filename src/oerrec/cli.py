@@ -58,7 +58,7 @@ def _extractor(cfg: PipelineConfig, oers) -> RankFeatureExtractor:
 # -- stages ------------------------------------------------------------------
 # Each takes the config and the parsed flags, reads and checks all its inputs
 # before its first write, and returns a one-line summary. Every write is
-# atomic, so a failed command leaves the files of an earlier run as they were.
+# atomic, but a stage that writes several files replaces them one at a time.
 
 def stage_simulate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
@@ -99,11 +99,8 @@ def stage_featurize(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 
 def stage_cluster(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     fm = _load_features(cfg)
-    model = community_mod.cluster_profiles(
-        fm, cfg.cluster_k, cfg.distance, _stage_seed(cfg, "cluster"),
-        cfg.cluster_groups, cfg.group_weights)
-    pairs = {p for p in fm.reply_pairs()
-             if all(r in model.assignment for r in p)}
+    model = community_mod.cluster_profiles(fm, cfg, _stage_seed(cfg, "cluster"))
+    pairs = {p for p in fm.reply_pairs() if all(r in model.assignment for r in p)}
     scores = community_mod.pairwise_cluster_eval(model.assignment, pairs)
     out = Path(cfg.out_dir)
     community_mod.write_communities(
@@ -119,8 +116,7 @@ def stage_cluster(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 
 
 def stage_train_community_classifier(cfg: PipelineConfig, args: argparse.Namespace) -> str:
-    model = community_mod.fit_behavior_classifier(
-        _load_features(cfg), _clustered(cfg), cfg.classifier_groups, cfg.lam)
+    model = community_mod.fit_behavior_classifier(_load_features(cfg), _clustered(cfg), cfg)
     out = Path(cfg.out_dir) / "maxent.json"
     dump_json(out, model.to_dict(), cfg.meta("train-community-classifier"))
     return (f"train-community-classifier: {model.n_classes} classes, "
@@ -133,11 +129,9 @@ def stage_assign(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     clustered = _clustered(cfg)  # a rerun predicts afresh
     model = maxent.MaxEntModel.from_dict(load_json(out / "maxent.json"))
-    predicted = community_mod.predict_behavior(fm, model, clustered,
-                                               cfg.classifier_groups)
+    predicted = community_mod.predict_behavior(fm, model, clustered, cfg)
     community_mod.write_communities(out / "communities.tsv", {**clustered, **predicted},
-                                    {r: "predicted" for r in predicted},
-                                    cfg.meta("assign"))
+                                    {r: "predicted" for r in predicted}, cfg.meta("assign"))
     return (f"assign: {len(clustered) + len(predicted)} readers "
             f"({len(predicted)} predicted)")
 
@@ -175,10 +169,8 @@ def stage_rankfeat(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 def stage_train_ranker(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     names, queries = read_rankfeat(out / "rankfeat.json")
-    assignment, _ = _read_communities(cfg)
-    rset = ranker.train_communitized(
-        queries, assignment, names, cfg.metric, cfg.restarts, cfg.threshold,
-        _stage_seed(cfg, "train-ranker"))
+    rset = ranker.train_communitized(queries, _read_communities(cfg)[0], names, cfg,
+                                     _stage_seed(cfg, "train-ranker"))
     ranker.write_rankerset(rset, out, cfg.meta("train-ranker"))
     return (f"train-ranker: global {cfg.metric}={rset.global_model.metric_value:.4f}, "
             f"{len(rset.models)} community models")
@@ -214,19 +206,12 @@ def stage_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     names, queries = read_rankfeat(out / "rankfeat.json")
     if mode == "cv":
-        assignment, _ = _read_communities(cfg)
-        report = evaluation.cross_validate_ranking(
-            queries, names, assignment, cfg.folds, _stage_seed(cfg, "evaluate"),
-            cfg.metric, cfg.restarts, cfg.threshold)
+        report = evaluation.cross_validate_ranking(queries, names, _read_communities(cfg)[0],
+                                                   cfg, _stage_seed(cfg, "evaluate"))
         path = out / "report.json"
     else:  # missing-rpf
-        fm = _load_features(cfg)
-        report = evaluation.simulate_missing_rpf(
-            fm, queries, names, cfg.fraction, cfg.sim_folds,
-            _stage_seed(cfg, "evaluate-missing-rpf"), cfg.cluster_k,
-            cfg.distance, cfg.lam, cfg.folds, cfg.metric, cfg.restarts,
-            cfg.threshold, cfg.cluster_groups, cfg.classifier_groups,
-            cfg.group_weights)
+        report = evaluation.simulate_missing_rpf(_load_features(cfg), queries, names, cfg,
+                                                 _stage_seed(cfg, "evaluate-missing-rpf"))
         path = out / "report_missing_rpf.json"
     dump_json(path, report.to_dict(), cfg.meta(f"evaluate:{mode}"))
     comm = report.means("communitized")["ndcg@3"]

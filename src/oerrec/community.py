@@ -10,13 +10,17 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .features import FeatureMatrix, RBF_GROUPS, RPF_GROUPS, combine_groups
+from .features import FeatureMatrix, RBF_GROUPS, combine_groups
 from .kmedoids import kmedoids
 from .maxent import MaxEntModel, predict_batch, train_maxent
 from .util import read_tsv, rng_for, write_tsv
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -30,8 +34,8 @@ class CommunityModel:
     k: int
     medoid_reader_ids: tuple[str, ...]
     assignment: dict[str, int]  # reader_id -> community index in [0, k)
-    metric: str = "euclidean"
-    cost: float = 0.0
+    metric: str
+    cost: float
 
 
 def cluster_readers(
@@ -74,41 +78,37 @@ def pairwise_cluster_eval(
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def cluster_profiles(
-    fm: FeatureMatrix, k: int, metric: str = "euclidean", seed: int = 0,
-    groups: tuple[str, ...] = RPF_GROUPS, weights: dict[str, float] | None = None,
-) -> CommunityModel:
-    """The one clustering of profile-bearing readers: their `groups`
-    vectors, each group scaled by its weight (unit when absent)."""
+def cluster_profiles(fm: FeatureMatrix, cfg: PipelineConfig, seed: int) -> CommunityModel:
+    """The one clustering of profile-bearing readers: `cfg.cluster_k`
+    communities by `cfg.distance` over their `cfg.cluster_groups` vectors,
+    each group scaled by its `cfg.group_weights` weight (unit when absent)."""
+    k = cfg.cluster_k
     rows = [i for i, r in enumerate(fm.reader_ids) if fm.has_rpf[r]]
     if len(rows) < k:
         raise ValueError(f"only {len(rows)} profile-bearing readers for k={k}")
     # combine_groups normalizes each row by its own norm, so its rows for
     # these readers equal, bit for bit, the vectors combined over them alone
-    X = combine_groups(fm, groups, weights or None)[rows]
-    return cluster_readers(tuple(fm.reader_ids[i] for i in rows), X, k, metric, seed)
+    X = combine_groups(fm, cfg.cluster_groups, cfg.group_weights)[rows]
+    return cluster_readers(tuple(fm.reader_ids[i] for i in rows), X, k, cfg.distance, seed)
 
 
-def fit_behavior_classifier(
-    fm: FeatureMatrix, labels: dict[str, int],
-    groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS, lam: float = 1.0,
-) -> MaxEntModel:
-    """MaxEnt classifier from the labelled readers' `groups` vectors to
-    their communities, rows in sorted-reader order."""
-    X = combine_groups(fm, groups)
+def fit_behavior_classifier(fm: FeatureMatrix, labels: dict[str, int],
+                            cfg: PipelineConfig) -> MaxEntModel:
+    """MaxEnt classifier (`cfg.lam`) from the labelled readers'
+    `cfg.classifier_groups` vectors to their communities, rows in sorted-reader order."""
+    X = combine_groups(fm, cfg.classifier_groups)
     rows = [i for i, r in enumerate(fm.reader_ids) if r in labels]
     y = np.array([labels[fm.reader_ids[i]] for i in rows])
-    model = train_maxent(X[rows], y, lam)
-    model.feature_space = {"groups": list(groups), "dim": X.shape[1]}
+    model = train_maxent(X[rows], y, cfg.lam)
+    model.feature_space = {"groups": list(cfg.classifier_groups), "dim": X.shape[1]}
     return model
 
 
-def predict_behavior(
-    fm: FeatureMatrix, model: MaxEntModel, labels: dict[str, int],
-    groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
-) -> dict[str, int]:
-    """Predicted community of every reader of fm that `labels` lacks."""
-    X = combine_groups(fm, groups)
+def predict_behavior(fm: FeatureMatrix, model: MaxEntModel, labels: dict[str, int],
+                     cfg: PipelineConfig) -> dict[str, int]:
+    """Predicted community of every reader of fm that `labels` lacks, from
+    their `cfg.classifier_groups` vectors."""
+    X = combine_groups(fm, cfg.classifier_groups)
     rest = [i for i, r in enumerate(fm.reader_ids) if r not in labels]
     silent = [fm.reader_ids[i] for i in rest if not X[i].any()]
     if silent:

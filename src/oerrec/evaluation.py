@@ -7,17 +7,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
-                        fit_behavior_classifier, predict_behavior)
-from .features import FeatureMatrix, RPF_GROUPS
+from .community import cluster_profiles, fit_behavior_classifier, predict_behavior
+from .features import FeatureMatrix
 from .metrics import RankingKernel, list_metrics, sign_test
 from .rankfeatures import QueryFeatures
-from .ranker import (DEFAULT_RESTARTS, DEFAULT_THRESHOLD, CommunityRankerSet,
-                     community_jobs, require_assignment, train_models)
+from .ranker import CommunityRankerSet, community_jobs, require_assignment, train_models
 from .util import fork_seed, rng_for
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -131,31 +133,23 @@ def make_folds(
     return fold_of
 
 
-def cross_validate_ranking(
-    queries: list[QueryFeatures],
-    feature_names: tuple[str, ...],
-    assignment: dict[str, int],
-    folds: int = 10,
-    seed: int = 0,
-    metric_spec: str = "ndcg@3",
-    restarts: int = DEFAULT_RESTARTS,
-    threshold: int = DEFAULT_THRESHOLD,
-) -> MetricReport:
-    """Per fold, train communitized and global models on the out-fold queries
-    and score the in-fold ones with both, keeping per-query pairs. The
-    models of all folds train in one `train_models` call."""
-    fold_of = make_folds(queries, assignment, folds, seed)
+def cross_validate_ranking(queries: list[QueryFeatures], feature_names: tuple[str, ...],
+                           assignment: dict[str, int], cfg: PipelineConfig,
+                           seed: int) -> MetricReport:
+    """Per fold of `cfg.folds`, train communitized and global models (`community_jobs`:
+    `cfg.metric`, `cfg.restarts`, `cfg.threshold`) on the out-fold queries and score
+    the in-fold ones with both, keeping per-query pairs. All folds train at once."""
+    fold_of = make_folds(queries, assignment, cfg.folds, seed)
     per_query: dict[str, dict[str, dict[str, float]]] = {"communitized": {}, "global": {}}
     skipped: list[str] = []
 
     jobs = {f: community_jobs([q for q in queries if fold_of[q.query_id] != f],
-                              assignment, feature_names, metric_spec, restarts,
-                              threshold, seed=fork_seed(seed, f"fold:{f}"))
+                              assignment, feature_names, cfg, fork_seed(seed, f"fold:{f}"))
             for f in sorted(set(fold_of.values()))}
     models = iter(train_models([job for fold in jobs.values() for job in fold]))
 
     for f, fold_jobs in jobs.items():
-        rset = CommunityRankerSet.from_models([next(models) for _ in fold_jobs], threshold)
+        rset = CommunityRankerSet.from_models([next(models) for _ in fold_jobs], cfg.threshold)
         test = [q for q in queries if fold_of[q.query_id] == f]
         for q in test:
             if assignment[q.reader_id] not in rset.models:
@@ -176,44 +170,29 @@ def cross_validate_ranking(
         per_query=per_query,
         skipped=tuple(sorted(skipped)),
         fold_assignment=fold_of,
-        folds=folds,
-        settings={"folds": folds, "seed": seed, "metric": metric_spec,
-                  "restarts": restarts, "threshold": threshold},
+        folds=cfg.folds,
+        settings={"folds": cfg.folds, "seed": seed, "metric": cfg.metric,
+                  "restarts": cfg.restarts, "threshold": cfg.threshold},
     )
 
 
 # -- missing-profile simulation ----------------------------------------------
 
-def simulate_missing_rpf(
-    fm: FeatureMatrix,
-    queries: list[QueryFeatures],
-    feature_names: tuple[str, ...],
-    fraction: float = 0.25,
-    folds: int = 4,
-    seed: int = 0,
-    k: int = 3,
-    distance: str = "euclidean",
-    lam: float = 1.0,
-    cv_folds: int = 10,
-    metric_spec: str = "ndcg@3",
-    restarts: int = DEFAULT_RESTARTS,
-    threshold: int = DEFAULT_THRESHOLD,
-    cluster_groups: tuple[str, ...] = RPF_GROUPS,
-    classifier_groups: tuple[str, ...] = DEFAULT_CLASSIFIER_GROUPS,
-    group_weights: dict[str, float] | None = None,
-) -> MetricReport:
-    """Strip profiles from successive reader folds, predict those readers'
-    communities from behavior alone, and rerun the ranking evaluation on the
-    partially predicted assignment.
+def simulate_missing_rpf(fm: FeatureMatrix, queries: list[QueryFeatures],
+                         feature_names: tuple[str, ...], cfg: PipelineConfig,
+                         seed: int) -> MetricReport:
+    """Strip profiles from `cfg.sim_folds` successive reader folds, each
+    `cfg.fraction` of the readers, predict their communities from behavior
+    alone and rerun `cross_validate_ranking` on that assignment, passing `cfg`.
 
-    Reference communities come from one profile clustering over all readers,
-    weighted like the pipeline's (`cluster_profiles`), so per-fold
-    predictions share a single label space and a perfect classifier
-    reproduces the full-profile run exactly. A reader fold that holds every
-    reader of a reference community raises ValueError: the classifier would
-    have no example of that community. The report's extras carry the
-    prediction accuracy and confusion counts.
+    The `cfg.cluster_k` reference communities come from one `cluster_profiles` run
+    over all readers, so per-fold predictions share a single label space and a perfect
+    classifier reproduces the full-profile run exactly. A reader fold that holds every
+    reader of a reference community raises ValueError: the classifier would have no
+    example of that community. The report's extras carry the prediction accuracy and
+    confusion counts, and its settings the simulation's values, `cfg.lam` among them.
     """
+    fraction, folds, k = cfg.fraction, cfg.sim_folds, cfg.cluster_k
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0,1], got {fraction}")
     if folds < 1:
@@ -225,8 +204,7 @@ def simulate_missing_rpf(
         raise ValueError(f"simulation requires profiles for all readers; missing: {lacking}")
 
     readers = list(fm.reader_ids)
-    reference = cluster_profiles(fm, k, distance, fork_seed(seed, "sim-reference"),
-                                 cluster_groups, group_weights).assignment
+    reference = cluster_profiles(fm, cfg, fork_seed(seed, "sim-reference")).assignment
 
     order = [readers[i] for i in rng_for(seed, "sim-folds").permutation(len(readers))]
     n = len(readers)
@@ -242,16 +220,15 @@ def simulate_missing_rpf(
             raise ValueError(f"reader fold {f} holds every reader of reference "
                              f"community {emptied[0]}; the classifier has no "
                              f"example of it")
-        model = fit_behavior_classifier(fm, known, classifier_groups, lam)
-        for r, c in predict_behavior(fm, model, known, classifier_groups).items():
+        model = fit_behavior_classifier(fm, known, cfg)
+        for r, c in predict_behavior(fm, model, known, cfg).items():
             predicted[r] = c
             confusion[reference[r], c] += 1
     n_predicted = int(confusion.sum())
     n_correct = int(np.trace(confusion))
 
-    report = cross_validate_ranking(
-        queries, feature_names, predicted, cv_folds,
-        fork_seed(seed, "sim-cv"), metric_spec, restarts, threshold)
+    report = cross_validate_ranking(queries, feature_names, predicted, cfg,
+                                    fork_seed(seed, "sim-cv"))
     report.extras = {
         "community_prediction_accuracy": (n_correct / n_predicted) if n_predicted else None,
         "confusion": confusion.tolist(),
@@ -262,5 +239,5 @@ def simulate_missing_rpf(
         "predicted_assignment": dict(sorted(predicted.items())),
     }
     report.settings.update({"simulation": {"fraction": fraction, "folds": folds,
-                                           "k": k, "lambda": lam, "seed": seed}})
+                                           "k": k, "lambda": cfg.lam, "seed": seed}})
     return report

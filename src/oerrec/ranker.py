@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +38,12 @@ from .metrics import RankingKernel, id_order, parse_metric, rank_order
 from .rankfeatures import QueryFeatures
 from .util import dump_json, fork_seed, load_json, rng_for
 
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+
 STEP_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 SWEEP_TOL = 1e-5
 MAX_SWEEPS = 25
-DEFAULT_RESTARTS = 5
-DEFAULT_THRESHOLD = 10
 
 
 @dataclass
@@ -113,7 +114,7 @@ def coordinate_ascent_train(
     queries: list[QueryFeatures],
     feature_names: tuple[str, ...],
     metric_spec: str = "ndcg@3",
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = 5,
     seed: int = 0,
     community: str = "global",
 ) -> RankingModel:
@@ -311,44 +312,32 @@ def require_assignment(queries: list[QueryFeatures], assignment: dict[str, int])
         raise ValueError(f"readers without community assignment: {missing}")
 
 
-def community_jobs(
-    queries: list[QueryFeatures],
-    assignment: dict[str, int],
-    feature_names: tuple[str, ...],
-    metric_spec: str = "ndcg@3",
-    restarts: int = DEFAULT_RESTARTS,
-    threshold: int = DEFAULT_THRESHOLD,
-    seed: int = 0,
-) -> list[TrainJob]:
-    """The global model's job, then one for each community with >= threshold
-    judged queries and a positive gain among them."""
+def community_jobs(queries: list[QueryFeatures], assignment: dict[str, int],
+                   feature_names: tuple[str, ...], cfg: PipelineConfig,
+                   seed: int) -> list[TrainJob]:
+    """The global model's job, then one for each community with >=
+    `cfg.threshold` judged queries and a positive gain among them; every
+    job trains on `cfg.metric` with `cfg.restarts` restarts."""
     if not queries:
         raise ValueError("zero judgments overall")
     require_assignment(queries, assignment)
-    jobs = [TrainJob(queries, feature_names, metric_spec, restarts, seed, "global")]
+    jobs = [TrainJob(queries, feature_names, cfg.metric, cfg.restarts, seed, "global")]
     for c in sorted(set(assignment.values())):
         subset = [q for q in queries if assignment[q.reader_id] == c]
-        if len(subset) < threshold or not any((q.gains > 0).any() for q in subset):
+        if len(subset) < cfg.threshold or not any((q.gains > 0).any() for q in subset):
             continue
-        jobs.append(TrainJob(subset, feature_names, metric_spec, restarts,
+        jobs.append(TrainJob(subset, feature_names, cfg.metric, cfg.restarts,
                              fork_seed(seed, f"community:{c}"), str(c)))
     return jobs
 
 
-def train_communitized(
-    queries: list[QueryFeatures],
-    assignment: dict[str, int],
-    feature_names: tuple[str, ...],
-    metric_spec: str = "ndcg@3",
-    restarts: int = DEFAULT_RESTARTS,
-    threshold: int = DEFAULT_THRESHOLD,
-    seed: int = 0,
-) -> CommunityRankerSet:
-    """One model per community with >= threshold judged queries, plus the
-    global model every small or unseen community falls back to."""
-    jobs = community_jobs(queries, assignment, feature_names, metric_spec,
-                          restarts, threshold, seed)
-    return CommunityRankerSet.from_models(train_models(jobs), threshold)
+def train_communitized(queries: list[QueryFeatures], assignment: dict[str, int],
+                       feature_names: tuple[str, ...], cfg: PipelineConfig,
+                       seed: int) -> CommunityRankerSet:
+    """The models of `community_jobs` (`cfg.metric`, `cfg.restarts`, `cfg.threshold`),
+    the global one serving every small or unseen community."""
+    jobs = community_jobs(queries, assignment, feature_names, cfg, seed)
+    return CommunityRankerSet.from_models(train_models(jobs), cfg.threshold)
 
 
 # -- serialization -----------------------------------------------------------

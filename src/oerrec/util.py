@@ -34,12 +34,16 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+_UMASK = os.umask(0)  # reading the umask sets it, so it is read once
+os.umask(_UMASK)
+
+
 def write_atomically(writers: dict[Path, Callable[[BinaryIO], Any]]) -> None:
     """Call each writer on a new temp file beside its path, opened for binary
     writing, and move the temp files over their paths once every writer has
     returned. If one raises, all the temp files are removed and no path is
-    touched, so a failed run never leaves a partial file or half a set of
-    files behind."""
+    touched: a failed call leaves no partial file and no half of its set.
+    A path gets the mode `open` gives a new file, not the temp file's 0600."""
     tmps: list[tuple[str, Path]] = []
     try:
         for path, write in writers.items():
@@ -47,6 +51,7 @@ def write_atomically(writers: dict[Path, Callable[[BinaryIO], Any]]) -> None:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
             tmps.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
+                os.chmod(tmp, 0o666 & ~_UMASK)
                 write(fh)
         for tmp, path in tmps:
             os.replace(tmp, path)

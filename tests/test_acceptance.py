@@ -14,6 +14,7 @@ import pytest
 from oerrec.cli import main as cli_main
 from oerrec.community import (DEFAULT_CLASSIFIER_GROUPS, cluster_profiles,
                               pairwise_cluster_eval)
+from oerrec.config import PipelineConfig
 from oerrec.evaluation import cross_validate_ranking, simulate_missing_rpf
 from oerrec.features import RPF_GROUPS, extract_features
 from oerrec.hetgraph import (
@@ -266,7 +267,7 @@ def sim_family():
         extractor = RankFeatureExtractor(
             result.graph, default_metapaths(), result.corpus.oers)
         queries = build_query_features(result.corpus, extractor)
-        assignment = cluster_profiles(fm, 3, seed=seed).assignment
+        assignment = cluster_profiles(fm, PipelineConfig(cluster_k=3), seed).assignment
         per_seed.append({"seed": seed, "fm": fm, "queries": queries,
                          "names": extractor.feature_names,
                          "assignment": assignment})
@@ -283,7 +284,7 @@ def test_c6_communitized_ranking_beats_global_baseline():
         assert len(entry["queries"]) >= 400
         report = cross_validate_ranking(
             entry["queries"], entry["names"], entry["assignment"],
-            folds=10, seed=entry["seed"])
+            PipelineConfig(folds=10), entry["seed"])
         gap = (report.means("communitized")["ndcg@3"]
                - report.means("global")["ndcg@3"])
         p = report.sign_test_p("ndcg@3")
@@ -300,7 +301,7 @@ def test_c7_predicted_communities_preserve_the_ranking_win():
     for entry in family["per_seed"]:
         report = simulate_missing_rpf(
             entry["fm"], entry["queries"], entry["names"],
-            fraction=0.25, folds=4, seed=entry["seed"])
+            PipelineConfig(fraction=0.25, sim_folds=4), entry["seed"])
         accuracy = report.extras["community_prediction_accuracy"]
         beats = (report.means("communitized")["ndcg@3"]
                  > report.means("global")["ndcg@3"])
@@ -315,7 +316,8 @@ SPARSE_BEHAVIOR = {"events_per_reader": 3.0, "queries_per_reader": 2.0}
 
 
 def reply_f1(corpus, fm, groups, seed):
-    assignment = cluster_profiles(fm, 3, seed=seed, groups=groups).assignment
+    assignment = cluster_profiles(
+        fm, PipelineConfig(cluster_k=3, cluster_groups=groups), seed).assignment
     return pairwise_cluster_eval(assignment, corpus.reply_pairs())["f1"]
 
 

@@ -16,9 +16,12 @@ import pytest
 
 from oerrec import cli, evaluation, ranker
 from oerrec.cli import build_parser, main
+from oerrec.community import read_communities
+from oerrec.config import PipelineConfig
 from oerrec.corpus import read_corpus
+from oerrec.features import features_from_dict
 from oerrec.rankfeatures import read_rankfeat
-from oerrec.util import load_json
+from oerrec.util import fork_seed, load_json
 
 CORPUS_FILES = ("readers.jsonl", "events.jsonl", "oers.jsonl", "judgments.tsv")
 PIPELINE_ARGS = ["--seed", "3", "--readers", "15", "--folds", "3", "--restarts", "2"]
@@ -680,6 +683,66 @@ class TestStages:
         assert "evaluate[missing-rpf]" in capsys.readouterr().out
         report = load_json(pipeline_dir / "report_missing_rpf.json")
         assert "community_prediction_accuracy" in report["extras"]
+
+
+class TestSettingsReachTheLibrary:
+    """A stage run with settings off their defaults writes what the library
+    call returns for a config holding those settings and the stage's seed."""
+
+    @pytest.fixture
+    def run(self, pipeline_dir, tmp_path):
+        d = tmp_path / "run"
+        shutil.copytree(pipeline_dir, d)
+        return d
+
+    @staticmethod
+    def artifact(path):
+        doc = load_json(path)
+        doc.pop("_meta")
+        return doc
+
+    @staticmethod
+    def inputs(run):
+        names, queries = read_rankfeat(run / "rankfeat.json")
+        k = load_json(run / "cluster_eval.json")["k"]
+        return names, queries, read_communities(run / "communities.tsv", k)[0]
+
+    def test_train_ranker(self, run, tmp_path):
+        assert run_cli(["train-ranker", "--in", run, "--out", run, "--seed", "3",
+                        "--restarts", "1", "--threshold", "3"]) == 0
+        names, queries, assignment = self.inputs(run)
+        rset = ranker.train_communitized(queries, assignment, names,
+                                         PipelineConfig(restarts=1, threshold=3),
+                                         fork_seed(3, "train-ranker"))
+        ranker.write_rankerset(rset, tmp_path / "lib", {})
+        written = sorted(p.name for p in (tmp_path / "lib").iterdir())
+        assert written == sorted(p.name for p in run.glob("model_*.json")) + ["rankerset.json"]
+        for name in written:
+            assert self.artifact(run / name) == self.artifact(tmp_path / "lib" / name), name
+        assert self.artifact(run / "rankerset.json")["threshold"] == 3
+
+    def test_evaluate_cv(self, run):
+        assert run_cli(["evaluate", "--in", run, "--out", run, "--seed", "3",
+                        "--mode", "cv", "--folds", "3", "--restarts", "1"]) == 0
+        names, queries, assignment = self.inputs(run)
+        report = evaluation.cross_validate_ranking(
+            queries, names, assignment, PipelineConfig(folds=3, restarts=1),
+            fork_seed(3, "evaluate"))
+        assert self.artifact(run / "report.json") == json.loads(json.dumps(report.to_dict()))
+        assert report.settings["restarts"] == 1
+
+    def test_evaluate_missing_rpf(self, run):
+        assert run_cli(["evaluate", "--in", run, "--out", run, "--seed", "3",
+                        "--mode", "missing-rpf", "--fraction", "0.2", "--sim-folds", "2",
+                        "--restarts", "1"]) == 0
+        names, queries, _ = self.inputs(run)
+        fm = features_from_dict(load_json(run / "features.json"))
+        report = evaluation.simulate_missing_rpf(
+            fm, queries, names, PipelineConfig(fraction=0.2, sim_folds=2, restarts=1),
+            fork_seed(3, "evaluate-missing-rpf"))
+        assert (self.artifact(run / "report_missing_rpf.json")
+                == json.loads(json.dumps(report.to_dict())))
+        assert report.settings["simulation"]["fraction"] == 0.2
 
 
 # Each subcommand's options after --config/--seed/--in/--out, in order:

@@ -16,6 +16,7 @@ from oerrec.community import (
     write_communities,
 )
 from oerrec.cli import main as cli_main
+from oerrec.config import PipelineConfig
 from oerrec.corpus import Corpus, ReaderProfile, parse_corpus, write_corpus
 from oerrec.features import (RPF_GROUPS, FeatureGroup, FeatureMatrix, combine_groups,
                              extract_features, features_from_dict)
@@ -187,10 +188,11 @@ class TestTwoStep:
         assignment, source = run_two_step(
             corpus_dir, tmp_path / "out", "--config", str(config))
         seed = fork_seed(TWO_STEP_SEED, "cluster")
-        weighted = cluster_profiles(fm, 3, seed=seed, weights=weights).assignment
+        weighted = cluster_profiles(
+            fm, PipelineConfig(cluster_k=3, group_weights=weights), seed).assignment
         assert {r: c for r, c in assignment.items()
                 if source[r] == "clustered"} == weighted
-        assert weighted != cluster_profiles(fm, 3, seed=seed).assignment
+        assert weighted != cluster_profiles(fm, PipelineConfig(cluster_k=3), seed).assignment
 
     def test_deterministic(self, sim, tmp_path):
         *_, corpus_dir = sim

@@ -10,6 +10,7 @@ import pytest
 
 from oerrec import ranker
 from oerrec.community import cluster_profiles
+from oerrec.config import PipelineConfig
 from oerrec.evaluation import (
     METRIC_NAMES,
     MetricReport,
@@ -206,7 +207,7 @@ def run():
     queries, assignment = opposed_community_queries()
     report = cross_validate_ranking(
         queries, ("f0", "f1"), assignment,
-        folds=4, seed=0, restarts=2, threshold=5,
+        PipelineConfig(folds=4, restarts=2, threshold=5), 0,
     )
     return queries, report
 
@@ -229,7 +230,7 @@ class TestCrossValidateRanking:
         _, assignment = opposed_community_queries()
         again = cross_validate_ranking(
             queries, ("f0", "f1"), assignment,
-            folds=4, seed=0, restarts=2, threshold=5,
+            PipelineConfig(folds=4, restarts=2, threshold=5), 0,
         )
         assert again.to_dict() == report.to_dict()
 
@@ -246,7 +247,7 @@ class TestCrossValidateRanking:
             monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
             reports.append(cross_validate_ranking(
                 queries, ("f0", "f1", "f2"), assignment,
-                folds=4, seed=0, restarts=2, threshold=5,
+                PipelineConfig(folds=4, restarts=2, threshold=5), 0,
             ).to_dict())
         assert reports[0] == reports[1]
         assert multiprocessing.active_children() == []
@@ -303,13 +304,14 @@ class TestSimulateMissingRpf:
     def test_fraction_validation(self, clean_sim):
         fm, queries, names = clean_sim
         with pytest.raises(ValueError, match="fraction"):
-            simulate_missing_rpf(fm, queries, names, fraction=-0.1)
+            simulate_missing_rpf(fm, queries, names, PipelineConfig(fraction=-0.1), 0)
         with pytest.raises(ValueError, match="fraction"):
-            simulate_missing_rpf(fm, queries, names, fraction=1.5)
+            simulate_missing_rpf(fm, queries, names, PipelineConfig(fraction=1.5), 0)
         with pytest.raises(ValueError, match="folds"):
-            simulate_missing_rpf(fm, queries, names, folds=0)
+            simulate_missing_rpf(fm, queries, names, PipelineConfig(sim_folds=0), 0)
         with pytest.raises(ValueError, match="exceeds"):
-            simulate_missing_rpf(fm, queries, names, fraction=0.25, folds=5)
+            simulate_missing_rpf(fm, queries, names,
+                                 PipelineConfig(fraction=0.25, sim_folds=5), 0)
 
     def test_requires_full_profiles(self, clean_sim):
         fm, queries, names = clean_sim
@@ -317,13 +319,13 @@ class TestSimulateMissingRpf:
             fm, has_rpf={**fm.has_rpf, fm.reader_ids[0]: False}
         )
         with pytest.raises(ValueError, match=fm.reader_ids[0]):
-            simulate_missing_rpf(stripped, queries, names)
+            simulate_missing_rpf(stripped, queries, names, PipelineConfig(), 0)
 
     def test_perfect_prediction_reproduces_full_profile_run(self, clean_sim):
         fm, queries, names = clean_sim
         report = simulate_missing_rpf(
-            fm, queries, names, fraction=0.25, folds=2, seed=7, k=2,
-            cv_folds=4, restarts=2, threshold=5,
+            fm, queries, names, PipelineConfig(
+                fraction=0.25, sim_folds=2, cluster_k=2, folds=4, restarts=2, threshold=5), 7,
         )
         extras = report.extras
         assert extras["community_prediction_accuracy"] == 1.0
@@ -332,7 +334,7 @@ class TestSimulateMissingRpf:
         reference = {r: int(c) for r, c in extras["reference_assignment"].items()}
         direct = cross_validate_ranking(
             queries, names, reference,
-            folds=4, seed=fork_seed(7, "sim-cv"), restarts=2, threshold=5,
+            PipelineConfig(folds=4, restarts=2, threshold=5), fork_seed(7, "sim-cv"),
         )
         assert report.per_query == direct.per_query
         assert report.skipped == direct.skipped
@@ -342,20 +344,20 @@ class TestSimulateMissingRpf:
         # clustering the pipeline's cluster stage makes, not the unweighted one.
         fm, queries, names = clean_sim
         weights = {"RPF-TB": 5.0}
-        report = simulate_missing_rpf(
-            fm, queries, names, fraction=0.25, folds=2, seed=3, k=3,
-            cv_folds=4, restarts=2, threshold=5, group_weights=weights,
-        )
+        cfg = PipelineConfig(fraction=0.25, sim_folds=2, cluster_k=3, folds=4,
+                             restarts=2, threshold=5, group_weights=weights)
+        report = simulate_missing_rpf(fm, queries, names, cfg, 3)
         reference = report.extras["reference_assignment"]
         seed = fork_seed(3, "sim-reference")
-        assert reference == cluster_profiles(fm, 3, seed=seed, weights=weights).assignment
-        assert reference != cluster_profiles(fm, 3, seed=seed).assignment
+        assert reference == cluster_profiles(fm, cfg, seed).assignment
+        assert reference != cluster_profiles(
+            fm, dataclasses.replace(cfg, group_weights={}), seed).assignment
 
     def test_confusion_matrix_accounts_for_every_prediction(self, clean_sim):
         fm, queries, names = clean_sim
         report = simulate_missing_rpf(
-            fm, queries, names, fraction=0.25, folds=2, seed=3, k=2,
-            cv_folds=4, restarts=2, threshold=5,
+            fm, queries, names, PipelineConfig(
+                fraction=0.25, sim_folds=2, cluster_k=2, folds=4, restarts=2, threshold=5), 3,
         )
         confusion = np.asarray(report.extras["confusion"])
         assert confusion.shape == (2, 2)
@@ -367,8 +369,8 @@ class TestSimulateMissingRpf:
     def test_zero_fraction_predicts_nothing(self, clean_sim):
         fm, queries, names = clean_sim
         report = simulate_missing_rpf(
-            fm, queries, names, fraction=0.0, folds=1, seed=1, k=2,
-            cv_folds=4, restarts=2, threshold=5,
+            fm, queries, names, PipelineConfig(
+                fraction=0.0, sim_folds=1, cluster_k=2, folds=4, restarts=2, threshold=5), 1,
         )
         assert report.extras["n_predicted"] == 0
         assert report.extras["community_prediction_accuracy"] is None
@@ -386,5 +388,5 @@ class TestSimulateMissingRpf:
         fm, queries, names = default_sim(seed=seed, n_readers=12)
         match = rf"reader fold {fold} .* community {community};"
         with pytest.raises(ValueError, match=match):
-            simulate_missing_rpf(fm, queries, names, fraction=0.5, folds=2,
-                                 seed=seed, cv_folds=2, restarts=1)
+            simulate_missing_rpf(fm, queries, names, PipelineConfig(
+                fraction=0.5, sim_folds=2, folds=2, restarts=1), seed)

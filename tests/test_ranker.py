@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oerrec import ranker
 from oerrec.cli import main as cli_main
+from oerrec.config import PipelineConfig
 from oerrec.metrics import RankingKernel
 from oerrec.rankfeatures import QueryFeatures
 from oerrec.ranker import (
@@ -421,7 +422,7 @@ class TestTrainCommunitized:
         queries = self.queries_for(["r1", "r2", "r3"])
         assignment = {"r1": 0, "r2": 0, "r3": 0}
         rset = train_communitized(
-            queries, assignment, ("f0", "f1"), threshold=5, seed=3
+            queries, assignment, ("f0", "f1"), PipelineConfig(threshold=5), 3
         )
         assert set(rset.models) == {0}
         assert np.array_equal(rset.models[0].weights, rset.global_model.weights)
@@ -432,7 +433,7 @@ class TestTrainCommunitized:
         queries = self.queries_for(["r1", "r2"]) + self.queries_for(["r9"], per_reader=1)
         assignment = {"r1": 0, "r2": 0, "r9": 1}
         rset = train_communitized(
-            queries, assignment, ("f0", "f1"), threshold=5, seed=3
+            queries, assignment, ("f0", "f1"), PipelineConfig(threshold=5), 3
         )
         assert 1 not in rset.models
         assert rset.resolve(1) is rset.global_model
@@ -442,11 +443,11 @@ class TestTrainCommunitized:
     def test_missing_assignment_rejected(self):
         queries = self.queries_for(["r1"])
         with pytest.raises(ValueError, match="r1"):
-            train_communitized(queries, {}, ("f0", "f1"))
+            train_communitized(queries, {}, ("f0", "f1"), PipelineConfig(), 0)
 
     def test_no_judgments_rejected(self):
         with pytest.raises(ValueError):
-            train_communitized([], {}, ("f0", "f1"))
+            train_communitized([], {}, ("f0", "f1"), PipelineConfig(), 0)
 
     def test_opposite_preferences_get_opposite_weights(self):
         # Community 0 likes feature 0, community 1 likes feature 1.
@@ -460,7 +461,7 @@ class TestTrainCommunitized:
                 X[:, 1 - fav] = (2 - gains) / 2.0
                 queries.append(make_query(f"c{c}-q{i}", f"r{c}", gains, X))
         assignment = {"r0": 0, "r1": 1}
-        rset = train_communitized(queries, assignment, ("f0", "f1"), seed=0)
+        rset = train_communitized(queries, assignment, ("f0", "f1"), PipelineConfig(), 0)
         w0, w1 = rset.models[0].weights, rset.models[1].weights
         assert w0[0] > w0[1]
         assert w1[1] > w1[0]
@@ -481,7 +482,7 @@ class TestTrainModels:
         for cpus in (2, 1):
             monkeypatch.setattr(ranker, "usable_cpus", lambda: cpus)
             sets.append(train_communitized(queries, assignment, ("f0", "f1"),
-                                           threshold=5, seed=3))
+                                           PipelineConfig(threshold=5), 3))
         pooled, serial = sets
         assert set(pooled.models) == set(serial.models) == {0, 1, 2}
         for a, b in zip([pooled.global_model, *pooled.models.values()],
@@ -543,13 +544,14 @@ class TestTrainModels:
             "import sys\n"
             "import numpy as np\n"
             "from oerrec import ranker\n"
+            "from oerrec.config import PipelineConfig\n"
             "from oerrec.rankfeatures import QueryFeatures\n"
             f"ranker.usable_cpus = lambda: {cpus}\n"
             "g = np.random.default_rng(0)\n"
             "qs = [QueryFeatures(f'q{i}', f'r{i % 2}', ('a', 'b', 'c'), np.array([2, 1, 0]),\n"
             "                    g.uniform(0, 1, (3, 2))) for i in range(8)]\n"
             "rset = ranker.train_communitized(qs, {'r0': 0, 'r1': 1}, ('f0', 'f1'),\n"
-            "                                 restarts=1, threshold=2)\n"
+            "                                 PipelineConfig(restarts=1, threshold=2), 0)\n"
             "print(len(rset.models), 'multiprocessing' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -574,7 +576,7 @@ class TestModelIO:
         queries = TestTrainCommunitized().queries_for(["r1", "r2"])
         assignment = {"r1": 0, "r2": 1}
         rset = train_communitized(
-            queries, assignment, ("f0", "f1"), threshold=2, seed=1
+            queries, assignment, ("f0", "f1"), PipelineConfig(threshold=2), 1
         )
         write_rankerset(rset, tmp_path, {"config_hash": "x", "seed": 1})
         again = read_rankerset(tmp_path)

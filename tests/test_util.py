@@ -1,6 +1,10 @@
-"""The JSON artifact writer against json.dumps(indent=1, sort_keys=True)."""
+"""The JSON artifact writer against json.dumps(indent=1, sort_keys=True),
+and the mode of what the atomic writers leave."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,3 +84,36 @@ def test_meta_goes_under_its_key():
     text = written({"b": [1.5, 2.0], "a": []}, {"seed": 1})
     assert text == json.dumps({"_meta": {"seed": 1}, "a": [], "b": [1.5, 2.0]},
                               indent=1, sort_keys=True) + "\n"
+
+
+# In a process started with the given umask: a JSON artifact, a TSV
+# artifact and the corpus streams that `copy_streams` copies (one of them
+# from a file) or writes empty, then the mode of each file written.
+WRITE_EVERY_KIND = """
+import hashlib, os, sys
+from pathlib import Path
+os.umask(int(sys.argv[1], 8))
+from oerrec.corpus import STREAMS, copy_streams
+from oerrec.util import dump_json, write_tsv
+src, out = Path(sys.argv[2]) / "src", Path(sys.argv[2]) / "out"
+src.mkdir()
+(src / "readers.jsonl").write_bytes(b"{}\\n")
+meta = {"config_hash": "h", "seed": 1, "stage": "s"}
+dump_json(out / "a.json", {"x": 1}, meta)
+write_tsv(out / "a.tsv", ("c",), [("v",)], meta)
+copy_streams(src, out, {"readers.jsonl": hashlib.sha256(b"{}\\n").hexdigest()})
+for name in ("a.json", "a.tsv", *STREAMS):
+    print(name, oct((out / name).stat().st_mode & 0o777))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002, 0o077], ids=oct)
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", WRITE_EVERY_KIND, oct(umask), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modes = dict(line.split() for line in proc.stdout.splitlines())
+    assert len(modes) == 6
+    assert set(modes.values()) == {oct(0o666 & ~umask)}, modes
