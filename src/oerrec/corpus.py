@@ -11,6 +11,13 @@ as ``missing field '<key>'``. Cross-record
 references are checked separately by :func:`validate_corpus`, which returns
 the ``validation.json`` document.
 
+The parsed corpus shares its repeated values: one parse keeps one table
+(:class:`_Shared`) that swaps each reader id, paper id, OER id, reply target,
+quote, content text and bbox for the first equal one it parsed, so a reader's
+thousand events hold one ``reader_id`` object. Shared values are immutable,
+so this changes no value, only how many copies of it live. A stream that is
+not UTF-8 fails as ``<stream>:<line>: not valid UTF-8 (byte 0x..)``.
+
 Only ``simulate`` writes streams from records (:func:`write_corpus`).
 ``ingest`` copies the bytes it parsed: :func:`read_corpus` can record the
 sha256 of each stream it reads, and :func:`copy_streams` copies the files
@@ -25,11 +32,12 @@ import enum
 import hashlib
 import json
 import logging
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .util import atomic_write_text, checked_copy, write_atomically
+from .util import atomic_write_text, checked_copy, utf8_error, write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -158,11 +166,42 @@ def _check_reader_id(reader_id: str) -> None:
         raise ValueError(f"reader id {reader_id!r} begins with '#' or holds a tab or a line break")
 
 
-def _parse_reader(obj: dict) -> ReaderProfile:
+_BBOX_BITS = struct.Struct("<4d").pack
+
+
+class _Shared:
+    """One parse's table of repeated values: calling it with a value returns
+    the first equal value it was called with. A bbox is looked up by its
+    exact bits, since a float key would take -0.0 for 0.0."""
+
+    __slots__ = ("_values", "_readers", "_bboxes")
+
+    def __init__(self):
+        self._values: dict[str, str] = {}
+        self._readers: dict[str, str] = {}  # the reader ids checked so far
+        self._bboxes: dict[bytes, tuple[float, float, float, float]] = {}
+
+    def __call__(self, value: str) -> str:
+        return self._values.setdefault(value, value)
+
+    def reader(self, reader_id: str) -> str:
+        """The shared reader id, checked by `_check_reader_id` the first time
+        it is seen as a reader id, whatever field held it before."""
+        shared = self._readers.get(reader_id)
+        if shared is None:
+            _check_reader_id(reader_id)
+            shared = self._readers[reader_id] = self(reader_id)
+        return shared
+
+    def bbox(self, bbox: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+        return self._bboxes.setdefault(_BBOX_BITS(*bbox), bbox)
+
+
+def _parse_reader(obj: dict, shared: _Shared) -> ReaderProfile:
     reader_id = obj["reader"]
     if not isinstance(reader_id, str) or not reader_id:
         raise ValueError("reader id must be a non-empty string")
-    _check_reader_id(reader_id)
+    reader_id = shared.reader(reader_id)
     courses = obj.get("courses", [])
     skills = obj.get("skills", {})
     if not isinstance(courses, list) or not all(isinstance(c, str) for c in courses):
@@ -203,7 +242,7 @@ def _parse_grade(raw) -> Grade:
     return grade
 
 
-def _parse_event(obj: dict) -> ReadingEvent:
+def _parse_event(obj: dict, shared: _Shared) -> ReadingEvent:
     event_id, reader_id, paper_id = obj["event"], obj["reader"], obj["paper"]
     quote = obj.get("quote_text", "")
     content = obj.get("content_text", "")
@@ -213,7 +252,7 @@ def _parse_event(obj: dict) -> ReadingEvent:
                   "quote_text": quote, "content_text": content}
         name = next(name for name, value in fields.items() if type(value) is not str)
         raise ValueError(f"{name} must be a string")
-    _check_reader_id(reader_id)
+    reader_id = shared.reader(reader_id)
     kind_raw = obj["kind"]
     kind = _EVENT_KINDS.get(kind_raw) if type(kind_raw) is str else None
     if kind is None:
@@ -221,7 +260,7 @@ def _parse_event(obj: dict) -> ReadingEvent:
     page = obj["page"]
     if type(page) is not int or page < 0:
         raise ValueError("page must be a nonnegative integer")
-    bbox = _parse_bbox(obj["bbox"])
+    bbox = shared.bbox(_parse_bbox(obj["bbox"]))
     target = obj.get("target")
     oer = obj.get("oer")
     grade_raw = obj.get("grade")
@@ -241,11 +280,12 @@ def _parse_event(obj: dict) -> ReadingEvent:
     if content and kind in (EventKind.QUOTE, EventKind.RATING):
         raise ValueError(f"{kind.value} events carry no content_text")
     grade = None if grade_raw is None else _parse_grade(grade_raw)
-    return ReadingEvent(event_id, kind, reader_id, paper_id, page, bbox, quote, content,
-                        target, oer, grade, timestamp)
+    return ReadingEvent(event_id, kind, reader_id, shared(paper_id), page, bbox, shared(quote),
+                        shared(content), target and shared(target), oer and shared(oer),
+                        grade, timestamp)
 
 
-def _parse_oer(obj: dict) -> OerItem:
+def _parse_oer(obj: dict, shared: _Shared) -> OerItem:
     oer_id, type_raw = obj["oer"], obj["type"]
     title = obj.get("title", "")
     body = obj.get("body", "")
@@ -257,7 +297,7 @@ def _parse_oer(obj: dict) -> OerItem:
     except ValueError:
         valid = ", ".join(t.value for t in OerType)
         raise ValueError(f"OER type {type_raw!r} not one of {valid}") from None
-    return OerItem(oer_id, oer_type, title, body)
+    return OerItem(shared(oer_id), oer_type, title, body)
 
 
 # stream -> (record parser, id field, what a duplicate id names, known fields)
@@ -270,11 +310,12 @@ _JSONL_STREAMS = {
 }
 
 
-def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict) -> None:
-    """Decode, parse and insert by id each non-blank line of a JSON-lines
-    stream. Any ValueError or KeyError (a missing field) on a line becomes a
-    CorpusFormatError naming it; fields the parser does not read draw one
-    warning for the whole stream."""
+def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict,
+                shared: _Shared) -> None:
+    """Decode, parse (sharing values through shared) and insert by id each
+    non-blank line of a JSON-lines stream. Any ValueError or KeyError (a
+    missing field) on a line becomes a CorpusFormatError naming it; fields
+    the parser does not read draw one warning for the whole stream."""
     parse, id_field, what, known = _JSONL_STREAMS[stream_name]
     unknown: set[str] = set()
     for line_no, line in enumerate(lines or (), start=1):
@@ -284,7 +325,7 @@ def _read_jsonl(stream_name: str, lines: Iterable[str] | None, records: dict) ->
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("record is not a JSON object")
-            record = parse(obj)
+            record = parse(obj, shared)
             if obj[id_field] in records:
                 raise ValueError(f"duplicate {what} id {obj[id_field]!r}")
         except json.JSONDecodeError as exc:
@@ -315,9 +356,10 @@ def parse_corpus(
     :class:`CorpusFormatError`; nothing is dropped silently.
     """
     corpus = Corpus()
-    _read_jsonl("readers.jsonl", reader_stream, corpus.readers)
-    _read_jsonl("events.jsonl", event_stream, corpus.events)
-    _read_jsonl("oers.jsonl", oer_stream, corpus.oers)
+    shared = _Shared()
+    _read_jsonl("readers.jsonl", reader_stream, corpus.readers, shared)
+    _read_jsonl("events.jsonl", event_stream, corpus.events, shared)
+    _read_jsonl("oers.jsonl", oer_stream, corpus.oers, shared)
 
     # query_id -> ((reader, paper, quote), {oer_id: grade}); a row of a known
     # query builds nothing
@@ -331,11 +373,12 @@ def parse_corpus(
             if len(cols) != 6:
                 raise ValueError(f"expected 6 tab-separated columns, got {len(cols)}")
             query_id, reader_id, paper_id, quote_text, oer_id, grade_raw = cols
-            _check_reader_id(reader_id)
+            reader_id = shared.reader(reader_id)
             grade = _parse_grade(grade_raw)
             known = judged.get(query_id)
             if known is None:
-                query, oers = judged[query_id] = (reader_id, paper_id, quote_text), {}
+                query, oers = (reader_id, shared(paper_id), shared(quote_text)), {}
+                judged[query_id] = query, oers
             else:
                 query, oers = known
                 if query != (reader_id, paper_id, quote_text):
@@ -345,7 +388,7 @@ def parse_corpus(
                 raise ValueError(f"OER {oer_id!r} judged twice in query {query_id!r}")
         except ValueError as exc:
             raise CorpusFormatError("judgments.tsv", line_no, str(exc)) from exc
-        oers[oer_id] = grade
+        oers[shared(oer_id)] = grade
     for query_id, (query, oers) in judged.items():
         corpus.queries[query_id] = JudgedQuery(query_id, *query, tuple(oers.items()))
 
@@ -467,7 +510,10 @@ def _stream_lines(in_dir, name: str, required: bool = False,
     data = path.read_bytes()
     if digests is not None:
         digests[name] = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(name, *utf8_error(exc)) from None
     del data  # only the lines live on through the parse
     return text.splitlines()
 

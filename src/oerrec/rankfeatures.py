@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Corpus, OerItem, OerType
 from .hetgraph import HetGraph, MetaPath, WalkResult, metapath_score
-from .retrieval import CollectionStats, bm25_score, lm_score
+from .retrieval import CollectionStats, DocTerms, bm25_score, lm_score
 from .text import tokenize
 from .util import dump_json, load_json
 
@@ -47,8 +47,18 @@ class RankFeatureExtractor:
         self.metapaths = list(metapaths)
         self.oers = dict(oers)
         self.mu, self.k1, self.b = mu, k1, b
-        self.doc_tokens = {o.oer_id: tokenize(o.body_text) for o in oers.values()}
-        self.stats = CollectionStats.build(self.doc_tokens[o] for o in sorted(self.doc_tokens))
+        doc_tokens = {o.oer_id: tokenize(o.body_text) for o in oers.values()}
+        doc_ids = sorted(doc_tokens)
+        self.stats = CollectionStats.build(doc_tokens[o] for o in doc_ids)
+        # the OERs' term counts, and each OER's column in the term scores
+        self.docs = [DocTerms.of(doc_tokens[o]) for o in doc_ids]
+        self._doc_column = {o: i for i, o in enumerate(doc_ids)}
+        # term -> (lm, BM25) contribution of that one term to each OER; a
+        # query's text scores add its terms' contributions in query order
+        self._term_scores: dict[str, tuple[list[float], list[float]]] = {}
+        # reject bad text parameters now, not at the first query with terms
+        lm_score([], [], mu, self.stats)
+        bm25_score([], [], k1, b, self.stats)
         self.topic_tokens = {
             t: frozenset(tokenize(graph.payload[t]))
             for t in graph.vertices("topic")
@@ -97,11 +107,20 @@ class RankFeatureExtractor:
                     X[i, col] = walk.scores.get(c, 0.0)
             col += 1
 
-        query_terms = tokenize(quote_text)
-        for i, c in enumerate(candidates):
-            doc = self.doc_tokens[c]
-            X[i, col] = max(lm_score(query_terms, doc, self.mu, self.stats), LM_FLOOR)
-            X[i, col + 1] = bm25_score(query_terms, doc, self.k1, self.b, self.stats)
+        columns = [self._doc_column[c] for c in candidates]
+        lm, bm25 = [0.0] * n, [0.0] * n
+        for term in tokenize(quote_text):
+            scores = self._term_scores.get(term)
+            if scores is None:
+                scores = self._term_scores[term] = (
+                    lm_score([term], self.docs, self.mu, self.stats),
+                    bm25_score([term], self.docs, self.k1, self.b, self.stats))
+            term_lm, term_bm25 = scores
+            for i, j in enumerate(columns):
+                lm[i] += term_lm[j]
+                bm25[i] += term_bm25[j]
+        X[:, col] = [max(v, LM_FLOOR) for v in lm]
+        X[:, col + 1] = bm25
         col += 2
 
         for j, t in enumerate(OerType):

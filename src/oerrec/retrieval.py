@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass
@@ -38,13 +38,24 @@ class CollectionStats:
         return stats
 
 
+class DocTerms(NamedTuple):
+    """A document's term counts and length, counted once for every query."""
+
+    tf: Counter[str]
+    length: int
+
+    @classmethod
+    def of(cls, tokens: list[str]) -> "DocTerms":
+        return cls(Counter(tokens), len(tokens))
+
+
 def lm_score(
     query_terms: list[str],
-    doc_terms: list[str],
+    docs: Sequence[DocTerms],
     mu: float,
     stats: CollectionStats,
-) -> float:
-    """Dirichlet-smoothed query log-likelihood.
+) -> list[float]:
+    """Dirichlet-smoothed query log-likelihood of each document.
 
     sum over query terms of log((tf + mu * p(t|C)) / (|d| + mu)). Terms
     absent from the whole collection are skipped; a zero numerator or
@@ -52,48 +63,48 @@ def lm_score(
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    if not query_terms:
-        return 0.0
-    tf = Counter(doc_terms)
-    dlen = len(doc_terms)
-
-    score = 0.0
-    for term in query_terms:
-        p_c = stats.p_collection(term)
-        if p_c == 0.0:
-            continue
-        numerator = tf[term] + mu * p_c
-        denominator = dlen + mu
-        if numerator <= 0.0 or denominator <= 0.0:
-            return float("-inf")
-        score += math.log(numerator / denominator)
-    return score
+    scores = []
+    for tf, dlen in docs:
+        score = 0.0
+        for term in query_terms:
+            p_c = stats.p_collection(term)
+            if p_c == 0.0:
+                continue
+            numerator = tf[term] + mu * p_c
+            denominator = dlen + mu
+            if numerator <= 0.0 or denominator <= 0.0:
+                score = float("-inf")
+                break
+            score += math.log(numerator / denominator)
+        scores.append(score)
+    return scores
 
 
 def bm25_score(
     query_terms: list[str],
-    doc_terms: list[str],
+    docs: Sequence[DocTerms],
     k1: float,
     b: float,
     stats: CollectionStats,
-) -> float:
-    """BM25 with idf = log((N - df + 0.5) / (df + 0.5) + 1); repeated query
-    terms contribute once per occurrence."""
+) -> list[float]:
+    """BM25 of each document with idf = log((N - df + 0.5) / (df + 0.5) + 1);
+    repeated query terms contribute once per occurrence."""
     if k1 <= 0:
         raise ValueError(f"k1 must be > 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must be in [0,1], got {b}")
-    tf = Counter(doc_terms)
-    dlen = len(doc_terms)
     avgdl = stats.avg_doc_len
 
-    score = 0.0
-    for term in query_terms:
-        f = tf[term]
-        if f == 0:
-            continue
-        df = stats.doc_freq.get(term, 0)
-        idf = math.log((stats.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-        length_norm = 1.0 - b + b * (dlen / avgdl) if avgdl > 0 else 1.0 - b
-        score += idf * (f * (k1 + 1.0)) / (f + k1 * length_norm)
-    return score
+    scores = []
+    for tf, dlen in docs:
+        score = 0.0
+        for term in query_terms:
+            f = tf[term]
+            if f == 0:
+                continue
+            df = stats.doc_freq.get(term, 0)
+            idf = math.log((stats.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+            length_norm = 1.0 - b + b * (dlen / avgdl) if avgdl > 0 else 1.0 - b
+            score += idf * (f * (k1 + 1.0)) / (f + k1 * length_norm)
+        scores.append(score)
+    return scores

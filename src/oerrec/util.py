@@ -167,12 +167,29 @@ def write_tsv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
+def utf8_error(exc: UnicodeDecodeError) -> tuple[int, str]:
+    """(line, reason) for bytes that failed to decode as UTF-8: the line of
+    the first bad byte, counted as `str.splitlines` counts lines, and
+    `not valid UTF-8 (byte 0x..)`."""
+    data = exc.object
+    # the text before the bad byte is UTF-8; one more character stands for
+    # the bad byte, on a line of its own if that text ends with a line break
+    line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+    return line_no, f"not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+
+
 def read_tsv(path: str | Path, n_columns: int, row: Callable[..., Any]) -> None:
     """Call row(*fields) for each line of a `write_tsv` file but blank and
     `#` lines. A ValueError raised while a line is handled, a wrong column
-    count included, is re-raised with `<file name>:<line>: ` in front."""
+    count and a byte that is not UTF-8 included, is raised with
+    `<file name>:<line>: ` in front."""
     path = Path(path)
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no, reason = utf8_error(exc)
+        raise ValueError(f"{path.name}:{line_no}: {reason}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")

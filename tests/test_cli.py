@@ -296,6 +296,19 @@ class TestFailureKeepsEarlierRun:
         assert capsys.readouterr().err == f"error: {name}:{line}: {message}\n"
         assert snapshot(run) == before
 
+    @pytest.mark.parametrize("name, argv", [
+        ("events.jsonl", ["ingest"]), ("events.jsonl", ["featurize"]),
+        ("vertices.tsv", ["graph-build"]), ("communities.tsv", ["train-ranker"]),
+    ], ids=["ingest", "featurize", "graph-build", "train-ranker"])
+    def test_a_byte_that_is_not_utf8_names_its_file_and_line(self, run, capsys, name, argv):
+        lines = (run / name).read_bytes().splitlines(keepends=True)
+        lines[5] = b"\xff" + lines[5]
+        (run / name).write_bytes(b"".join(lines))
+        before = snapshot(run)
+        assert run_cli([*argv, "--in", run, "--out", run, "--seed", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {name}:6: not valid UTF-8 (byte 0xff)\n"
+        assert snapshot(run) == before
+
     @pytest.mark.parametrize("argv", [
         ["recommend", "--paper", "p00", "--quote", "topic00", "--reader", "r000"],
         ["train-ranker"], ["train-community-classifier"], ["assign"], ["evaluate"],

@@ -2,7 +2,9 @@
 
 import json
 import logging
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from oerrec.corpus import (
     validate_corpus,
     write_corpus,
 )
+from oerrec.simgen import SimConfig, generate
 
 
 class TestParse:
@@ -104,6 +107,78 @@ class TestParse:
     def test_not_sure_candidates_dropped_from_graded(self, toy_corpus):
         graded = dict(toy_corpus.queries["q2"].graded_candidates())
         assert graded == {"v1": 0}
+
+
+def _event(event_id, **changes):
+    record = {"event": event_id, "kind": "quote", "reader": "r1", "paper": "p1", "page": 0,
+              "bbox": [0.1, 0.2, 0.3, 0.4], "quote_text": "graph walk"}
+    return json.dumps({**record, **changes})
+
+
+class TestSharedValues:
+    """One parse holds each repeated value once; sharing changes no value."""
+
+    def test_events_of_one_reader_hold_one_reader_id(self):
+        # json.loads builds a new string for every line
+        corpus = parse_corpus([_event("e1"), _event("e2")], [], [],
+                              ["q1\tr1\tp1\tgraph walk\tv1\tGood"])
+        e1, e2 = corpus.events["e1"], corpus.events["e2"]
+        assert e1.reader_id is e2.reader_id
+        assert e1.paper_id is e2.paper_id
+        assert e1.quote_text is e2.quote_text
+        query = corpus.queries["q1"]
+        assert query.reader_id is e1.reader_id
+        assert query.quote_text is e1.quote_text
+        assert corpus.readers["r1"].reader_id is e1.reader_id
+
+    def test_equal_bboxes_are_one_tuple(self):
+        corpus = parse_corpus([_event("e1"), _event("e2", bbox=[0.1, 0.2, 0.3, 0.4]),
+                               _event("e3", bbox=[0.1, 0.2, 0.3, 0.5])])
+        e1, e2, e3 = corpus.events.values()
+        assert e1.bbox is e2.bbox
+        assert e3.bbox == (0.1, 0.2, 0.3, 0.5)
+
+    def test_a_negative_zero_bbox_keeps_its_sign(self):
+        corpus = parse_corpus([_event("e1", bbox=[0.0, 0.0, 0.5, 0.5]),
+                               _event("e2", bbox=[-0.0, 0.0, 0.5, 0.5]),
+                               _event("e3", bbox=[0.0, 0.0, 0.5, 0.5])])
+        e1, e2, e3 = corpus.events.values()
+        assert math.copysign(1.0, e1.bbox[0]) == 1.0
+        assert math.copysign(1.0, e2.bbox[0]) == -1.0
+        assert e1.bbox is e3.bbox
+        assert e2.bbox is not e1.bbox
+
+    def test_a_reader_id_seen_first_in_another_field_is_still_checked(self):
+        # the paper id "#p" is shared first; as a reader id it is rejected
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus([_event("e1", paper="#p"), _event("e2", reader="#p")])
+        assert str(exc.value) == ("events.jsonl:2: reader id '#p' begins with '#' "
+                                  "or holds a tab or a line break")
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus([_event("e1", paper="#p")], [], [], ["q1\t#p\tp1\tq\tv1\tGood"])
+        assert str(exc.value).startswith("judgments.tsv:1: reader id '#p'")
+
+    def test_a_parse_shares_nothing_with_the_next(self):
+        first, second = parse_corpus([_event("e1")]), parse_corpus([_event("e1")])
+        assert first == second
+        assert first.events["e1"].reader_id is not second.events["e1"].reader_id
+
+    def test_bytes_kept_per_event_stay_bounded(self):
+        # tracemalloc counts what the parsed corpus holds, the same on every
+        # run of one interpreter: 398 B per event on this 5,163-event corpus
+        # with every repeated value shared, 718 B with none shared
+        sim = generate(SimConfig(seed=5, n_readers=60)).corpus
+        streams = [serialize(sim).splitlines() for serialize in (
+            serialize_events, serialize_readers, serialize_oers, serialize_judgments)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = parse_corpus(*streams)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert corpus == sim
+        assert kept / len(corpus.events) < 500
 
 
 class TestCorpusAccessors:
@@ -210,6 +285,30 @@ class TestRoundTrip:
             read_streams(tmp_path, "oers.jsonl", "judgments.tsv")
         with pytest.raises(ValueError, match="unknown corpus streams"):
             read_streams(tmp_path, "oers.json")
+
+    @pytest.mark.parametrize("name, line", [
+        ("events.jsonl", 6), ("readers.jsonl", 1), ("oers.jsonl", 4), ("judgments.tsv", 7)])
+    def test_a_byte_that_is_not_utf8_names_its_stream_and_line(self, toy_corpus, tmp_path,
+                                                                name, line):
+        write_corpus(toy_corpus, tmp_path)
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:12] + b"\xff" + lines[line - 1][12:]
+        (tmp_path / name).write_bytes(b"".join(lines))
+        with pytest.raises(CorpusFormatError) as exc:
+            read_corpus(tmp_path)
+        assert str(exc.value) == f"{name}:{line}: not valid UTF-8 (byte 0xff)"
+        assert (exc.value.stream, exc.value.line_no) == (name, line)
+
+    @pytest.mark.parametrize("before, line", [
+        (b"", 1), (b"\n", 2), (b"{}\n\n", 3), (b"{}\r\n", 2), (b"\xe2\x80\xa8", 2),
+        (b"{\"a\": 1", 1), (b"\xc3\xa9\n", 2)])
+    def test_the_bad_line_is_counted_as_the_parse_counts(self, tmp_path, before, line):
+        # a truncated two-byte sequence after what precedes it; U+2028 ends
+        # a line for str.splitlines, and so for the stream's line numbers
+        (tmp_path / "events.jsonl").write_bytes(before + b"\xc3(\n")
+        with pytest.raises(CorpusFormatError, match=rf"^events.jsonl:{line}: "
+                                                    r"not valid UTF-8 \(byte 0xc3\)$"):
+            read_corpus(tmp_path)
 
     def test_read_corpus_tolerates_missing_readers_file(self, toy_corpus, tmp_path):
         write_corpus(toy_corpus, tmp_path)

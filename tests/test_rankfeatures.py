@@ -9,7 +9,9 @@ from oerrec.cli import main as cli_main
 from oerrec.corpus import read_streams
 from oerrec.hetgraph import (HetGraph, default_metapaths, metapath_score, read_graph,
                              read_metapaths)
-from oerrec.rankfeatures import RankFeatureExtractor, build_query_features
+from oerrec.rankfeatures import LM_FLOOR, RankFeatureExtractor, build_query_features
+from oerrec.retrieval import DocTerms, bm25_score, lm_score
+from oerrec.text import tokenize
 from oracles import oracle_bm25, oracle_lm, oracle_walk
 
 
@@ -100,7 +102,7 @@ class TestExtract:
         X = extractor.extract("p1", quote, candidates)
         stats = extractor.stats
         for oer_id, row in zip(candidates, X):
-            doc = extractor.doc_tokens[oer_id]
+            doc = tokenize(toy_corpus.oers[oer_id].body_text)
             lm_expected, _, _ = oracle_lm(
                 ["hash", "table"], doc, 2000.0, stats.term_counts, stats.total_terms
             )
@@ -127,6 +129,35 @@ class TestExtract:
         # Walk features differ (the twin halves t2's fan-out is shared
         # equally), so compare only where connectivity is truly identical.
         assert np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("quote, mu", [
+        ("hash table hash index", 2000.0),  # a repeated term
+        ("graph zzzunseen walk", 10.0),  # a term absent from every OER body
+        ("hash neural", 0.0),  # mu=0: an OER without a term scores -inf
+    ])
+    def test_text_scores_are_the_per_candidate_sums(self, corpus_graph, toy_corpus, quote, mu):
+        # extract adds per-term scores computed once per extractor; they
+        # must give the bits of scoring each candidate on the whole query
+        ex = RankFeatureExtractor(corpus_graph, default_metapaths(), toy_corpus.oers, mu=mu)
+        candidates = ["v1", "s1", "c1", "w1", "v1"]
+        ex.extract("p2", "hash", candidates)  # memoizes a term of the next query
+        X = ex.extract("p1", quote, candidates)
+        terms = tokenize(quote)
+        named = {name: X[:, j] for j, name in enumerate(ex.feature_names)}
+        for i, oer_id in enumerate(candidates):
+            doc = [DocTerms.of(tokenize(toy_corpus.oers[oer_id].body_text))]
+            (lm,) = lm_score(terms, doc, mu, ex.stats)
+            (bm25,) = bm25_score(terms, doc, 1.2, 0.75, ex.stats)
+            assert named["lm"][i].hex() == max(lm, LM_FLOOR).hex()
+            assert named["bm25"][i].hex() == bm25.hex()
+        if mu == 0.0:
+            assert LM_FLOOR in named["lm"]
+
+    def test_bad_text_parameters_rejected_when_built(self, corpus_graph, toy_corpus):
+        with pytest.raises(ValueError, match="mu"):
+            RankFeatureExtractor(corpus_graph, default_metapaths(), toy_corpus.oers, mu=-1.0)
+        with pytest.raises(ValueError, match="b must"):
+            RankFeatureExtractor(corpus_graph, default_metapaths(), toy_corpus.oers, b=1.5)
 
     def test_unknown_candidate_rejected(self, extractor):
         with pytest.raises(KeyError):

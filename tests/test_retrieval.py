@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oerrec.retrieval import CollectionStats, bm25_score, lm_score
+from oerrec import retrieval
+from oerrec.retrieval import CollectionStats, DocTerms
 from oracles import oracle_bm25, oracle_lm
 
 WORDS = ["graph", "walk", "hash", "table", "net", "index"]
@@ -13,6 +14,16 @@ WORDS = ["graph", "walk", "hash", "table", "net", "index"]
 
 def stats_of(docs):
     return CollectionStats.build([d.split() for d in docs])
+
+
+def lm_score(query, doc, mu, stats):
+    (score,) = retrieval.lm_score(query, [DocTerms.of(doc)], mu, stats)
+    return score
+
+
+def bm25_score(query, doc, k1, b, stats):
+    (score,) = retrieval.bm25_score(query, [DocTerms.of(doc)], k1, b, stats)
+    return score
 
 
 class TestCollectionStats:
@@ -74,6 +85,25 @@ class TestLmScore:
         stats = stats_of(docs)
         expected, _, _ = oracle_lm(query, doc, mu, stats.term_counts, stats.total_terms)
         assert lm_score(query, doc, mu, stats) == pytest.approx(expected, abs=1e-12)
+
+
+class TestManyDocuments:
+    DOCS = ["graph walk hash graph", "table net walk", "index hash", ""]
+
+    @pytest.mark.parametrize("mu", [0.0, 10.0])
+    def test_lm_scores_each_document_as_alone(self, mu):
+        stats = stats_of(self.DOCS)
+        query = ["graph", "hash", "ghost", "graph"]
+        docs = [DocTerms.of(d.split()) for d in self.DOCS]
+        assert retrieval.lm_score(query, docs, mu, stats) == [
+            lm_score(query, d.split(), mu, stats) for d in self.DOCS]
+
+    def test_bm25_scores_each_document_as_alone(self):
+        stats = stats_of(self.DOCS)
+        query = ["walk", "net", "ghost", "walk"]
+        docs = [DocTerms.of(d.split()) for d in self.DOCS]
+        assert retrieval.bm25_score(query, docs, 1.2, 0.75, stats) == [
+            bm25_score(query, d.split(), 1.2, 0.75, stats) for d in self.DOCS]
 
 
 class TestBm25:

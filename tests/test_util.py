@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oerrec.util import dump_json
+from oerrec.util import dump_json, read_tsv
 
 META = {"config_hash": "h", "seed": 1, "stage": "s"}
 
@@ -84,6 +84,17 @@ def test_meta_goes_under_its_key():
     text = written({"b": [1.5, 2.0], "a": []}, {"seed": 1})
     assert text == json.dumps({"_meta": {"seed": 1}, "a": [], "b": [1.5, 2.0]},
                               indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"# c\ta\nx\t\xff\n", 2, "ff"), (b"x\t1\n\ny\t\xfe2\n", 3, "fe"),
+    (b"x\t\xe2\x80\xa8\x80", 2, "80")])  # U+2028 ends a line for str.splitlines
+def test_read_tsv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line, byte):
+    path = tmp_path / "vertices.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read_tsv(path, 2, lambda *fields: None)
+    assert str(exc.value) == f"vertices.tsv:{line}: not valid UTF-8 (byte 0x{byte})"
 
 
 # In a process started with the given umask: a JSON artifact, a TSV
